@@ -37,6 +37,8 @@ from .hilbert import (
     hilbert_function,
     series_numerator,
     ss_hvector_formula,
+    symbolic_h_vector,
+    symbolic_numerator,
 )
 from .resolution import (
     ResolutionShape,

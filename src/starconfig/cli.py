@@ -29,17 +29,29 @@ from .errors import ResourceCapError, TheoremViolation, UsageError
 monomial_str = ex.monomial_str
 
 
+def _positive_int(text: str) -> int:
+    """A cap value: a positive integer, else a usage error (exit 2).
+
+    The argparse type of every cap flag, and the parser of the cap
+    environment variables.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _env_cap(name: str) -> int | None:
     raw = os.environ.get(name)
     if raw is None:
         return None
     try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"{name} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise UsageError(f"{name} must be positive, got {value}")
-    return value
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{name} {exc}") from None
 
 
 def _frac_str(q: Fraction | None) -> str | None:
@@ -66,8 +78,9 @@ def _ideal_summary(ideal: ex.MonomialIdeal, list_gens: bool = True) -> dict:
 
 def _cmd_skeleton(args) -> tuple[dict, int]:
     cfg = star.StarConfig(args.s, args.c)
+    # first, so that the closed form's work check refuses a huge skeleton before it is built
+    hv = hilbert.symbolic_h_vector(cfg, 1, d_cap=args.degree_cap)
     ideal = star.skeleton_ideal(cfg)
-    hv = hilbert.h_vector(ideal, args.c, d_cap=args.degree_cap)
     generic = hilbert.generic_hvector(args.s, args.c)
     report = {
         "command": "skeleton",
@@ -85,7 +98,7 @@ def _cmd_skeleton(args) -> tuple[dict, int]:
 
 def _cmd_symbolic(args) -> tuple[dict, int]:
     cfg = star.StarConfig(args.s, args.c)
-    cap = args.enum_cap or star.DEFAULT_ENUM_CAP
+    cap = star.DEFAULT_ENUM_CAP if args.enum_cap is None else args.enum_cap
     ideal = star.symbolic_power(cfg, args.ell, enum_cap=cap)
     a, o = ex.alpha(ideal), ex.omega(ideal)
     a_formula = star.alpha_symbolic_formula(cfg, args.ell)
@@ -106,11 +119,7 @@ def _cmd_symbolic(args) -> tuple[dict, int]:
 
 def _cmd_hvector(args) -> tuple[dict, int]:
     cfg = star.StarConfig(args.s, args.c)
-    if args.ell == 1:
-        ideal = star.skeleton_ideal(cfg)
-    else:
-        ideal = star.symbolic_power(cfg, args.ell)
-    hv = hilbert.h_vector(ideal, args.c, d_cap=args.degree_cap)
+    hv = hilbert.symbolic_h_vector(cfg, args.ell, d_cap=args.degree_cap)
     report = {
         "command": "hvector",
         "params": {"s": args.s, "c": args.c, "ell": args.ell},
@@ -128,8 +137,8 @@ def _cmd_hvector(args) -> tuple[dict, int]:
 
 def _cmd_betti(args) -> tuple[dict, int]:
     shape = resolution.ss_resolution(args.s, args.c)
-    ideal = star.symbolic_power(star.StarConfig(args.s, args.c), 2)
-    euler_ok = resolution.euler_check(shape, ideal)
+    numerator = hilbert.symbolic_numerator(star.StarConfig(args.s, args.c), 2)
+    euler_ok = resolution.shape_numerator(shape) == numerator
     report = {
         "command": "betti",
         "params": {"s": args.s, "c": args.c},
@@ -501,18 +510,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("skeleton", help="skeleton ideal: generators, h-vector, degree, alpha")
     p.add_argument("--c", type=int, required=True)
-    p.add_argument("--degree-cap", type=int, default=_env_cap("STARCONFIG_DEGREE_CAP"))
+    p.add_argument("--degree-cap", type=_positive_int, default=_env_cap("STARCONFIG_DEGREE_CAP"))
 
     p = add("symbolic", help="symbolic power: generators, alpha/omega vs closed forms")
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--enum-cap", type=int, default=_env_cap("STARCONFIG_ENUM_CAP"))
+    p.add_argument("--enum-cap", type=_positive_int, default=_env_cap("STARCONFIG_ENUM_CAP"))
     p.add_argument("--max-listed", type=int, default=64, help="list generators only up to this count")
 
     p = add("hvector", help="h-vector of the skeleton (--ell 1) or a symbolic power")
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--degree-cap", type=int, default=_env_cap("STARCONFIG_DEGREE_CAP"))
+    p.add_argument("--degree-cap", type=_positive_int, default=_env_cap("STARCONFIG_DEGREE_CAP"))
 
     p = add("betti", help="resolution shape of the symbolic square plus the Euler check")
     p.add_argument("--c", type=int, required=True)
@@ -523,20 +532,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("decomp", help="power decomposition and saturation identity")
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--s-cap", type=int, default=decomp.DECOMP_S_CAP)
-    p.add_argument("--l-cap", type=int, default=decomp.DECOMP_L_CAP)
+    p.add_argument("--s-cap", type=_positive_int, default=decomp.DECOMP_S_CAP)
+    p.add_argument("--l-cap", type=_positive_int, default=decomp.DECOMP_L_CAP)
 
     p = add("containment", help="single symbolic-vs-ordinary power containment")
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--power-cap", type=int, default=_env_cap("STARCONFIG_POWER_CAP"))
+    p.add_argument("--power-cap", type=_positive_int, default=_env_cap("STARCONFIG_POWER_CAP"))
 
     p = add("scan", help="containment grid with the empirical resurgence supremum")
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--mmax", type=int, required=True)
     p.add_argument("--rmax", type=int, required=True)
-    p.add_argument("--power-cap", type=int, default=_env_cap("STARCONFIG_POWER_CAP"))
+    p.add_argument("--power-cap", type=_positive_int, default=_env_cap("STARCONFIG_POWER_CAP"))
 
     p = add("matroid", help="matroid property of the skeleton complex and the Stanley-Reisner check")
     p.add_argument("--c", type=int, required=True)

@@ -2,22 +2,27 @@
 
 The Hilbert function of R/I counts standard monomials (monomials of a given
 degree not in I).  It is computed through the exact numerator K(t) of the
-Hilbert series K(t)/(1-t)^s, obtained by the classical pivot recursion
+Hilbert series K(t)/(1-t)^s.  For a generic monomial ideal K comes from the
+classical pivot recursion
 
     K(I) = K(I + (x_i)) + t * K(I : x_i)
 
-with coprime generator blocks split multiplicatively.  All arithmetic is
-exact integer arithmetic; the numerator is a finite polynomial whose degree
-is bounded by the degree of the lcm of the generators.
+with coprime generator blocks split multiplicatively.  For the skeleton
+ideals and their symbolic powers K has a closed form (symbolic_numerator)
+that builds no ideal; the recursion stays the oracle it is tested against.
+All arithmetic is exact integer arithmetic; the numerator is a finite
+polynomial whose degree is bounded by the degree of the lcm of the
+generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, lgamma, log
 
 from . import exponents as ex
+from . import star
 from .errors import ResourceCapError, UsageError
 
 
@@ -118,8 +123,13 @@ def hilbert_function(ideal: ex.MonomialIdeal, d: int) -> int:
     return sum(c * comb(d - j + s - 1, s - 1) for j, c in enumerate(k) if j <= d)
 
 
+def _degree_cap(top: int) -> int:
+    """The default degree cap of an ideal whose largest generator degree is top."""
+    return 4 * (1 + top)
+
+
 def default_degree_cap(ideal: ex.MonomialIdeal) -> int:
-    return 4 * (1 + ideal.max_gen_degree())
+    return _degree_cap(ideal.max_gen_degree())
 
 
 def h_vector(ideal: ex.MonomialIdeal, c: int, d_cap: int | None = None) -> HVector:
@@ -135,7 +145,12 @@ def h_vector(ideal: ex.MonomialIdeal, c: int, d_cap: int | None = None) -> HVect
     if not 1 <= c <= s:
         raise UsageError(f"codimension must satisfy 1 <= c <= {s}, got {c}")
     cap = default_degree_cap(ideal) if d_cap is None else d_cap
-    k = list(_numerator(ideal))
+    return _h_vector_from_numerator(_numerator(ideal), c, cap)
+
+
+def _h_vector_from_numerator(numerator: tuple[int, ...], c: int, cap: int) -> HVector:
+    """Divide K(t) by (1-t)^c, refusing a numerator past the degree cap or a nonzero remainder."""
+    k = list(numerator)
     if len(k) - 1 > cap:
         raise ResourceCapError(
             f"h-vector needs Hilbert function values up to degree {len(k) - 1}, cap is {cap}"
@@ -156,6 +171,112 @@ def h_vector(ideal: ex.MonomialIdeal, c: int, d_cap: int | None = None) -> HVect
     while entries and entries[-1] == 0:
         entries.pop()
     return HVector(tuple(entries), c)
+
+
+def _log2_comb(n: int, k: int) -> float:
+    """log2 of C(n, k), from lgamma so that huge arguments cost nothing."""
+    return (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(2)
+
+
+def _symbolic_work(s: int, c: int, ell: int) -> int:
+    """Word operations of symbolic_numerator: coefficient operations times words per coefficient.
+
+    About c * ell * (ell+1) * (s-c+2) coefficient operations, each on
+    integers no longer than the K(t) bound C(s,c) * C(ell-1+c,c) * 2^c.
+    """
+    ops = c * ell * (ell + 1) * (s - c + 2)
+    if ops > star.DEFAULT_ENUM_CAP:  # refused anyway; keeps lgamma's arguments in float range
+        return ops
+    bits = _log2_comb(s, c) + _log2_comb(ell - 1 + c, c) + c
+    return ops * (1 + int(bits) // 64)
+
+
+def _placements(s: int, c: int, k: int) -> tuple[int, ...]:
+    """C(p, k-1) * C(s-1-p, c-k) for p = k-1 .. s-c+k-1, each from the last by one ratio step."""
+    a, b = 1, comb(s - k, c - k)
+    out = [a * b]
+    for p in range(k - 1, s - c + k - 1):
+        a = a * (p + 1) // (p + 2 - k)
+        b = b * (s - 1 - p - c + k) // (s - 1 - p)
+        out.append(a * b)
+    return tuple(out)
+
+
+def symbolic_numerator(cfg: star.StarConfig, ell: int) -> tuple[int, ...]:
+    """The Hilbert-series numerator K(t) of R/I^(ell) in closed form, building no ideal.
+
+    Counting argument.  A monomial x^a is standard (lies outside I^(ell))
+    iff its c smallest exponents sum to less than ell.  Order the positions
+    by (a_i, i) and let S be the first c of them, M the largest exponent on
+    S, and p the largest index in S with a_p = M; k-1 members of S have
+    an index below p and c-k an index above it, so S can be chosen in
+    C(p, k-1) * C(s-1-p, c-k) ways.  Given S and a_S, a position j outside S
+    keeps S first exactly when a_j > M for j < p and a_j >= M for j > p, so
+    the p-k+1 outside positions below p each contribute t^(M+1)/(1-t) and the
+    rest t^M/(1-t).  On S, the members below p range over 0..M, those above
+    over 0..M-1, and the total stays below ell.  Hence the h-polynomial is
+
+        N(t) = sum_{M<ell} sum_{k<=c} trunc_{<ell}(P_{<=M}^(k-1) t^M P_{<M}^(c-k))
+               * t^(M(s-c)) * sum_p C(p,k-1) C(s-1-p,c-k) t^(p-k+1)
+
+    with P_{<=M} = 1+t+...+t^M and P_{<M} = 1+t+...+t^(M-1), and
+    K(t) = N(t) * (1-t)^c.  When the work estimate of _symbolic_work passes
+    star.DEFAULT_ENUM_CAP it raises ResourceCapError before allocating
+    anything.
+    """
+    if ell < 1:
+        raise UsageError(f"symbolic power exponent must be >= 1, got {ell}")
+    s, c = cfg.s, cfg.c
+    work = _symbolic_work(s, c, ell)
+    if work > star.DEFAULT_ENUM_CAP:
+        raise ResourceCapError(
+            f"closed-form Hilbert numerator needs about {work} word operations, "
+            f"cap is {star.DEFAULT_ENUM_CAP}"
+        )
+    width = s - c + 1
+    # parts[k-1] = sum over M of t^(M*width) * trunc_{<ell-M}(P_{<=M}^(k-1) P_{<M}^(c-k))
+    parts = [[0] * ((ell - 1) * width + 1) for _ in range(c)]
+    parts[c - 1][0] = 1  # M = 0: every member of S is 0, and P_{<0} = 0 forces k = c
+    for m in range(1, ell):
+        top = ell - m
+        f = [1] + [0] * (top - 1)
+        for _ in range(c - 1):  # times P_{<M}, a sliding window sum
+            acc = 0
+            out = []
+            for i in range(top):
+                acc += f[i] - (f[i - m] if i >= m else 0)
+                out.append(acc)
+            f = out
+        for k in range(1, c + 1):
+            if k > 1:  # trade one factor P_{<M} for P_{<=M}: times (1-t^(M+1)) / (1-t^M)
+                f = [f[i] - (f[i - m - 1] if i > m else 0) for i in range(top)]
+                for i in range(m, top):
+                    f[i] += f[i - m]
+            row = parts[k - 1]
+            for i, x in enumerate(f, m * width):
+                row[i] += x
+    n = [0] * (ell * width)
+    for k in range(1, c + 1):
+        part = _poly_trim(parts[k - 1])
+        if not part:  # ell = 1 leaves only k = c
+            continue
+        for i, x in enumerate(_poly_mul(part, _placements(s, c, k))):
+            n[i] += x
+    one_minus_t = [1]  # (1-t)^c, each coefficient from the last
+    for i in range(c):
+        one_minus_t.append(-one_minus_t[-1] * (c - i) // (i + 1))
+    return _poly_mul(_poly_trim(n), tuple(one_minus_t))
+
+
+def symbolic_h_vector(cfg: star.StarConfig, ell: int, d_cap: int | None = None) -> HVector:
+    """The h-vector of R/I^(ell) from the closed-form numerator.
+
+    The default degree cap is that of I^(ell) (default_degree_cap), whose
+    top generator degree is omega_symbolic_formula.
+    """
+    k = symbolic_numerator(cfg, ell)
+    cap = _degree_cap(star.omega_symbolic_formula(cfg, ell)) if d_cap is None else d_cap
+    return _h_vector_from_numerator(k, cfg.c, cap)
 
 
 def generic_hvector(s: int, c: int) -> HVector:
@@ -242,4 +363,6 @@ __all__ = [
     "hilbert_function",
     "series_numerator",
     "ss_hvector_formula",
+    "symbolic_h_vector",
+    "symbolic_numerator",
 ]

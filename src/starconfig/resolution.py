@@ -181,8 +181,8 @@ def shape_numerator(shape: ResolutionShape) -> tuple[int, ...]:
 
 
 def euler_check(shape: ResolutionShape, ideal: ex.MonomialIdeal) -> bool:
-    """Whether the shape's alternating-sum numerator matches the ideal's series numerator."""
-    return shape_numerator(shape) == hilbert.series_numerator(ideal)
+    """Whether the shape's alternating-sum numerator matches the ideal's Hilbert-series numerator."""
+    return shape_numerator(shape) == hilbert._numerator(ideal)
 
 
 def _p_monomial(s: int, i: int) -> ex.Exponent:

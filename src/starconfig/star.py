@@ -109,8 +109,8 @@ def symbolic_power(cfg: StarConfig, ell: int, enum_cap: int = DEFAULT_ENUM_CAP) 
 
     Minimal generators have every exponent <= ell, so the search space is
     {0..ell}^s.  Membership and minimality depend only on the multiset of
-    exponents, so the scan runs over nondecreasing tuples and expands
-    permutations of the survivors.
+    exponents, so the scan runs over nondecreasing tuples and expands the
+    distinct arrangements of the survivors.
     """
     if ell <= 0:
         raise UsageError(f"symbolic power exponent must be >= 1, got {ell}")
@@ -135,8 +135,31 @@ def symbolic_power(cfg: StarConfig, ell: int, enum_cap: int = DEFAULT_ENUM_CAP) 
                 minimal = False
                 break
         if minimal:
-            gens.extend(set(itertools.permutations(t)))
+            gens.extend(_distinct_permutations(t))
     return ex.MonomialIdeal(s, tuple(sorted(gens, key=ex.grlex_key)))
+
+
+def _distinct_permutations(t: tuple[int, ...]):
+    """The distinct arrangements of a nondecreasing tuple, in lexicographic order.
+
+    A next-permutation walk: each arrangement costs O(len(t)), and repeated
+    values are never expanded, so a shape with many equal entries yields its
+    multinomial count of tuples rather than len(t)! of them.
+    """
+    a = list(t)
+    n = len(a)
+    while True:
+        yield tuple(a)
+        i = n - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
 
 
 def symbolic_power_by_intersection(cfg: StarConfig, ell: int) -> ex.MonomialIdeal:

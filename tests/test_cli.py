@@ -1,6 +1,7 @@
 """CLI dispatch, exit codes, determinism, and golden files."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,45 @@ def test_usage_error_exit_code(capsys):
 def test_unknown_flag_exit_code(capsys):
     code, _, _ = run(capsys, ["skeleton", "--s", "4", "--c", "2", "--bogus"])
     assert code == 2
+
+
+def test_betti_14_7_is_checked(capsys):
+    code, out, _ = run(capsys, ["betti", "--s", "14", "--c", "7"])
+    assert code == 0
+    assert "euler_check: true\n" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hvector", "--s", "400", "--c", "200", "--ell", "400"],
+        # few coefficients, but each about 3000 bits long
+        ["hvector", "--s", "3000", "--c", "1500"],
+        ["hvector", "--s", str(10**400), "--c", "2"],
+        ["skeleton", "--s", str(10**400), "--c", "2"],
+    ],
+)
+def test_huge_hvector_is_refused_fast(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert "resource-cap" in err
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["symbolic", "--s", "4", "--c", "2", "--ell", "2", "--enum-cap", "0"],
+        ["symbolic", "--s", "4", "--c", "2", "--ell", "2", "--enum-cap", "-1"],
+        ["hvector", "--s", "4", "--c", "2", "--degree-cap", "-1"],
+        ["containment", "--s", "4", "--c", "2", "--m", "3", "--r", "2", "--power-cap", "0"],
+    ],
+)
+def test_nonpositive_cap_flag_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "must be positive" in err
 
 
 def test_resource_cap_exit_code(capsys):

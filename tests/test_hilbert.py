@@ -3,6 +3,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starconfig import exponents as ex
 from starconfig import hilbert
@@ -217,3 +219,38 @@ def test_series_numerator_small_cap():
     assert hilbert.series_numerator(ideal, cap=len(full) + 5) == full
     with pytest.raises(ResourceCapError):
         hilbert.series_numerator(ideal, cap=6)  # numerator reaches degree 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_symbolic_numerator_matches_pivot_recursion(data):
+    s = data.draw(st.integers(2, 7))
+    cfg = StarConfig(s, data.draw(st.integers(1, s - 1)))
+    ell = data.draw(st.integers(1, 6))
+    assert hilbert.symbolic_numerator(cfg, ell) == hilbert._numerator(symbolic_power(cfg, ell))
+
+
+def test_symbolic_h_vector_matches_h_vector():
+    for s, c, ell in [(4, 2, 1), (7, 3, 2), (5, 2, 3), (6, 3, 5), (6, 5, 4)]:
+        cfg = StarConfig(s, c)
+        ideal = symbolic_power(cfg, ell)
+        assert hilbert.symbolic_h_vector(cfg, ell) == hilbert.h_vector(ideal, c)
+    with pytest.raises(ResourceCapError):
+        hilbert.symbolic_h_vector(StarConfig(5, 2), 3, d_cap=4)
+
+
+def test_symbolic_numerator_refusals():
+    with pytest.raises(UsageError):
+        hilbert.symbolic_numerator(StarConfig(4, 2), 0)
+    with pytest.raises(ResourceCapError):
+        hilbert.symbolic_numerator(StarConfig(400, 200), 400)
+    with pytest.raises(ResourceCapError):  # few coefficients, each about 3000 bits
+        hilbert.symbolic_numerator(StarConfig(3000, 1500), 1)
+
+
+def test_symbolic_numerator_long_coefficients():
+    # under the cap with coefficients of hundreds of bits: checked through the
+    # h-vector sum, the degree C(s,c) * C(ell+c-1,c) of R/I^(ell)
+    for s, c, ell in [(300, 150, 1), (200, 100, 2), (120, 60, 3)]:
+        hv = hilbert.symbolic_h_vector(StarConfig(s, c), ell)
+        assert sum(hv.entries) == comb(s, c) * comb(ell + c - 1, c)

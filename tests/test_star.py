@@ -4,6 +4,8 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starconfig import exponents as ex
 from starconfig import star
@@ -86,6 +88,20 @@ def test_symbolic_power_matches_box_oracle():
             for ell in range(1, 4):
                 cfg = StarConfig(s, c)
                 assert ex.equals(star.symbolic_power(cfg, ell), brute_symbolic_power(cfg, ell))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_symbolic_power_matches_intersection_property(data):
+    s = data.draw(st.integers(2, 5))
+    cfg = StarConfig(s, data.draw(st.integers(1, s - 1)))
+    ell = data.draw(st.integers(1, 4))
+    assert ex.equals(star.symbolic_power(cfg, ell), star.symbolic_power_by_intersection(cfg, ell))
+
+
+def test_symbolic_power_expands_distinct_arrangements_only():
+    # two minimal shapes, (0^4, 1^8) and (0^5, 2^7), each with 12! permutations
+    assert len(star.symbolic_power(StarConfig(12, 6), 2).gens) == comb(12, 4) + comb(12, 5) == 1287
 
 
 def test_symbolic_power_matches_intersection_oracle():
