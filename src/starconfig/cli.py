@@ -22,6 +22,8 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 from . import decomp, exponents as ex, hilbert, resolution, star
 from .errors import ResourceCapError, TheoremViolation, UsageError
@@ -357,70 +359,57 @@ def export_cas(
     star.StarConfig(s, c)  # range validation for c
     if c > n:
         raise UsageError(f"codimension c={c} exceeds the ambient dimension n={n}")
-    big_n = s - 1
-    m_exp = (big_n - c + 2) * ell
-    from itertools import combinations
-
-    warnings = [
-        f"WARNING: forms {i} and {j} are proportional; the arrangement does not meet properly"
-        for i, j in _pairwise_dependent(forms)
-    ]
+    listed = sum(comb(s, k) for k in range(c, n + 1))
+    if listed > star.DEFAULT_ENUM_CAP:
+        raise ResourceCapError(f"the script lists {listed} subsets of forms, cap is {star.DEFAULT_ENUM_CAP}")
+    m_exp = (s - c + 1) * ell
+    m2 = target == "m2-syntax"
+    comment = "--" if m2 else "//"
     variables = [f"x{i}" for i in range(n + 1)]
-    lines: list[str] = []
+    lines = [
+        f"{comment} codimension {c} configuration of {s} hyperplanes in P^{n}",
+        f"{comment} checks the power decomposition for l = {ell}",
+        *(
+            f"{comment} WARNING: forms {i} and {j} are proportional; the arrangement does not meet properly"
+            for i, j in _pairwise_dependent(forms)
+        ),
+        f"R = QQ[{','.join(variables)}];" if m2 else f"ring R = 0, ({','.join(variables)}), dp;",
+        *(f"{'' if m2 else 'poly '}L{i} = {_form_str(f)};" for i, f in enumerate(forms)),
+    ]
+    terms = ", ".join(f"T{j}" for j in range(n - c + 1))
 
     def subsets(size):
-        return list(combinations(range(s), size))
+        return [", ".join(f"L{i}" for i in sub) for sub in combinations(range(s), size)]
 
-    if target == "m2-syntax":
-        comment = "--"
-        lines.append(f"{comment} codimension {c} configuration of {s} hyperplanes in P^{n}")
-        lines.append(f"{comment} checks the power decomposition for l = {ell}")
-        lines.extend(f"{comment} {w}" for w in warnings)
-        lines.append(f"R = QQ[{','.join(variables)}];")
-        for i, f in enumerate(forms):
-            lines.append(f"L{i} = {_form_str(f)};")
-        lines.append(f"Ipow = (intersect({', '.join('ideal(' + ', '.join(f'L{i}' for i in sub) + ')' for sub in subsets(c))}))^{ell};")
-        terms = []
-        for j in range(0, n - c + 1):
-            powers = [
-                "(ideal(" + ", ".join(f"L{i}" for i in sub) + "))^" + str((j + 1) * ell)
-                for sub in subsets(c + j)
-            ]
-            lines.append(f"T{j} = intersect({', '.join(powers)});")
-            terms.append(f"T{j}")
-        lines.append(f"Mpow = (ideal({', '.join(variables)}))^{m_exp};")
-        lines.append(f"RHS = intersect({', '.join(terms)}, Mpow);")
-        lines.append("print(Ipow == RHS);")
+    if m2:
+        lines.append(f"Ipow = (intersect({', '.join(f'ideal({g})' for g in subsets(c))}))^{ell};")
+        for j in range(n - c + 1):
+            powers = ", ".join(f"(ideal({g}))^{(j + 1) * ell}" for g in subsets(c + j))
+            lines.append(f"T{j} = intersect({powers});")
+        lines += [
+            f"Mpow = (ideal({', '.join(variables)}))^{m_exp};",
+            f"RHS = intersect({terms}, Mpow);",
+            "print(Ipow == RHS);",
+        ]
     else:
-        comment = "//"
-        lines.append(f"{comment} codimension {c} configuration of {s} hyperplanes in P^{n}")
-        lines.append(f"{comment} checks the power decomposition for l = {ell}")
-        lines.extend(f"{comment} {w}" for w in warnings)
-        lines.append(f"ring R = 0, ({','.join(variables)}), dp;")
-        for i, f in enumerate(forms):
-            lines.append(f"poly L{i} = {_form_str(f)};")
-        comp_names = []
-        for k, sub in enumerate(subsets(c)):
-            lines.append(f"ideal C{k} = {', '.join(f'L{i}' for i in sub)};")
-            comp_names.append(f"C{k}")
-        lines.append(f"ideal I = intersect({', '.join(comp_names)});")
+        components = subsets(c)
+        lines += [f"ideal C{k} = {g};" for k, g in enumerate(components)]
+        lines.append(f"ideal I = intersect({', '.join(f'C{k}' for k in range(len(components)))});")
         lines.append(f"ideal Ipow = I^{ell};")
-        terms = []
-        for j in range(0, n - c + 1):
-            powers = []
-            for k, sub in enumerate(subsets(c + j)):
-                name = f"P{j}_{k}"
-                lines.append(f"ideal {name} = {', '.join(f'L{i}' for i in sub)};")
-                powers.append(f"{name}^{(j + 1) * ell}")
-            lines.append(f"ideal T{j} = intersect({', '.join(powers)});")
-            terms.append(f"T{j}")
-        lines.append(f"ideal M = {', '.join(variables)};")
-        lines.append(f"ideal RHS = intersect({', '.join(terms)}, M^{m_exp});")
-        lines.append("ideal sIpow = std(Ipow);")
-        lines.append("ideal sRHS = std(RHS);")
-        lines.append("int equal = (size(reduce(Ipow, sRHS)) == 0) && (size(reduce(RHS, sIpow)) == 0);")
-        lines.append('printf("%s", equal);')
-        lines.append("exit;")
+        for j in range(n - c + 1):
+            primes = subsets(c + j)
+            lines += [f"ideal P{j}_{k} = {g};" for k, g in enumerate(primes)]
+            powers = ", ".join(f"P{j}_{k}^{(j + 1) * ell}" for k in range(len(primes)))
+            lines.append(f"ideal T{j} = intersect({powers});")
+        lines += [
+            f"ideal M = {', '.join(variables)};",
+            f"ideal RHS = intersect({terms}, M^{m_exp});",
+            "ideal sIpow = std(Ipow);",
+            "ideal sRHS = std(RHS);",
+            "int equal = (size(reduce(Ipow, sRHS)) == 0) && (size(reduce(RHS, sIpow)) == 0);",
+            'printf("%s", equal);',
+            "exit;",
+        ]
     return "\n".join(lines) + "\n"
 
 
@@ -601,6 +590,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ResourceCapError as exc:
         _emit_error(args, "resource-cap", str(exc))
+        return 3
+    except (MemoryError, RecursionError) as exc:
+        # an exhausted resource that no cap foresaw; exit 1 would claim a failed identity
+        _emit_error(args, "resource-cap", f"{type(exc).__name__}: the computation ran out of resources")
         return 3
     except TheoremViolation as exc:
         _emit_error(args, "theorem-violation", str(exc))

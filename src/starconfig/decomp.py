@@ -40,20 +40,26 @@ def irrelevant_power(s: int, t: int) -> ex.MonomialIdeal:
     """The t-th power of the irrelevant ideal: all monomials of degree t."""
     if t < 0:
         raise UsageError(f"power must be nonnegative, got {t}")
-    if t == 0:
-        return ex.unit_ideal(s)
-    return ex.MonomialIdeal(
-        s, tuple(sorted(ex.monomials_of_degree(s, t), key=ex.grlex_key))
-    )
+    return ex.MonomialIdeal(s, tuple(sorted(ex.monomials_of_degree(s, t), key=ex.grlex_key)))
 
 
 @lru_cache(maxsize=None)
 def _skeleton_power(s: int, c: int, r: int) -> ex.MonomialIdeal:
-    return ex.power(star.skeleton_ideal(star.StarConfig(s, c)), r)
+    """The r-th power of the skeleton ideal: degree r(s-c+1), every exponent <= r (see symbolic_in_power)."""
+    star.StarConfig(s, c)  # validate ranges
+    gens = ex.compositions(r * (s - c + 1), s, r)
+    return ex.MonomialIdeal(s, tuple(sorted(gens, key=ex.grlex_key)))
 
 
 def _default_r_cap(s: int) -> int:
     return DEFAULT_R_CAPS.get(s, DEFAULT_R_CAP_LARGE if s > 5 else 10)
+
+
+def _symbolic_intersection(s: int, c: int, ell: int) -> ex.MonomialIdeal:
+    """The intersection of the ((j+1)*ell)-th symbolic powers of the codimension-(c+j) skeletons, j = 0..N-c."""
+    return ex.intersect_many(
+        star.symbolic_power(star.StarConfig(s, c + j), (j + 1) * ell) for j in range(s - c)
+    )
 
 
 def rhs_decomposition(s: int, c: int, ell: int) -> ex.MonomialIdeal:
@@ -65,24 +71,20 @@ def rhs_decomposition(s: int, c: int, ell: int) -> ex.MonomialIdeal:
     """
     if ell < 1:
         raise UsageError(f"need ell >= 1, got {ell}")
-    n_top = s - 1
-    terms = [
-        star.symbolic_power(star.StarConfig(s, c + j), (j + 1) * ell)
-        for j in range(n_top - c + 1)
-    ]
-    result = ex.intersect_many(terms)
     # the irrelevant factor: intersect with M^t via degree truncation
-    return ex.truncate_to_degree(result, (n_top - c + 2) * ell)
+    return ex.truncate_to_degree(_symbolic_intersection(s, c, ell), (s - c + 1) * ell)
+
+
+def _check_decomp_caps(check: str, s: int, ell: int, s_cap: int, l_cap: int) -> None:
+    if s > s_cap or ell > l_cap:
+        raise ResourceCapError(f"{check} check capped at s <= {s_cap}, ell <= {l_cap}; got s={s}, ell={ell}")
 
 
 def verify_power_decomposition(
     s: int, c: int, ell: int, s_cap: int = DECOMP_S_CAP, l_cap: int = DECOMP_L_CAP
 ) -> bool:
     """Whether the ell-th ordinary power equals its symbolic-power decomposition."""
-    if s > s_cap or ell > l_cap:
-        raise ResourceCapError(
-            f"decomposition check capped at s <= {s_cap}, ell <= {l_cap}; got s={s}, ell={ell}"
-        )
+    _check_decomp_caps("decomposition", s, ell, s_cap, l_cap)
     lhs = _skeleton_power(s, c, ell)
     return ex.equals(lhs, rhs_decomposition(s, c, ell))
 
@@ -91,27 +93,31 @@ def verify_saturation(
     s: int, c: int, ell: int, s_cap: int = DECOMP_S_CAP, l_cap: int = DECOMP_L_CAP
 ) -> bool:
     """Whether saturating the ell-th power removes exactly the irrelevant factor."""
-    if s > s_cap or ell > l_cap:
-        raise ResourceCapError(
-            f"saturation check capped at s <= {s_cap}, ell <= {l_cap}; got s={s}, ell={ell}"
-        )
+    _check_decomp_caps("saturation", s, ell, s_cap, l_cap)
     lhs = ex.saturate(_skeleton_power(s, c, ell), irrelevant_ideal(s))
-    n_top = s - 1
-    rhs = ex.intersect_many(
-        star.symbolic_power(star.StarConfig(s, c + j), (j + 1) * ell)
-        for j in range(n_top - c + 1)
-    )
-    return ex.equals(lhs, rhs)
+    return ex.equals(lhs, _symbolic_intersection(s, c, ell))
 
 
 def symbolic_in_power(s: int, c: int, m: int, r: int, r_cap: int | None = None) -> bool:
-    """Whether the m-th symbolic power is contained in the r-th ordinary power."""
+    """Whether the m-th symbolic power is contained in the r-th ordinary power.
+
+    The skeleton ideal I is the squarefree Veronese ideal of degree d = s-c+1,
+    so I^r is generated by the degree-rd monomials with every exponent <= r
+    (Herzog & Hibi, "Discrete polymatroids", J. Algebraic Combin. 16 (2002)),
+    and x^a is in I^r iff sum(min(a_i, r)) >= rd.  Both ideals are symmetric
+    in the variables, so testing one arrangement of each minimal generator
+    shape of I^(m) decides containment with no I^r built.  The r_cap contract
+    stays.  For the containment problem see Bocci & Harbourne, J. Algebraic
+    Geom. 19 (2010).
+    """
     if m < 1 or r < 1:
         raise UsageError(f"need m, r >= 1, got m={m}, r={r}")
     cap = _default_r_cap(s) if r_cap is None else r_cap
     if r > cap:
         raise ResourceCapError(f"power exponent r={r} exceeds the cap {cap} for s={s}")
-    return ex.contains(_skeleton_power(s, c, r), star.symbolic_power(star.StarConfig(s, c), m))
+    need = r * (s - c + 1)
+    shapes = star.symbolic_shapes(star.StarConfig(s, c), m)
+    return all(sum(min(e, r) for e in t) >= need for t in shapes)
 
 
 def criterion(n_dim: int, m: int, r: int) -> bool:

@@ -20,15 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .errors import UsageError
 
 Exponent = tuple[int, ...]
-
-# Above this many pairwise divisibility checks, contains() switches to a
-# vectorized numpy batch (exact int64 comparisons, same result).
-_BATCH_THRESHOLD = 50_000
 
 
 def grlex_key(t: Exponent) -> tuple:
@@ -244,12 +238,6 @@ def contains(a: MonomialIdeal, b: MonomialIdeal) -> bool:
         return True
     if a.is_zero:
         return False
-    if len(a.gens) * len(b.gens) > _BATCH_THRESHOLD:
-        ga = np.array(a.gens, dtype=np.int64)
-        gb = np.array(b.gens, dtype=np.int64)
-        # b-gen j is a member of a iff some a-gen divides it
-        hit = (ga[:, None, :] <= gb[None, :, :]).all(axis=2).any(axis=0)
-        return bool(hit.all())
     return all(member(g, a) for g in b.gens)
 
 
@@ -294,13 +282,15 @@ def truncate_to_degree(ideal: MonomialIdeal, t: int) -> MonomialIdeal:
     return minimalize(s, out)
 
 
-def compositions(total: int, parts: int):
-    """Yield all tuples of `parts` nonnegative integers summing to `total`."""
+def compositions(total: int, parts: int, bound: int | None = None):
+    """Yield all tuples of `parts` nonnegative integers summing to `total`, each <= bound if given."""
+    top = total if bound is None else min(bound, total)
     if parts == 1:
-        yield (total,)
+        if total <= top:
+            yield (total,)
         return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
+    for first in range(top + 1):
+        for rest in compositions(total - first, parts - 1, bound):
             yield (first,) + rest
 
 

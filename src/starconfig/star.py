@@ -13,6 +13,7 @@ Everything here is 0-based: variables and complex vertices are indexed
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -20,7 +21,7 @@ from math import comb
 from . import exponents as ex
 from .errors import ResourceCapError, UsageError
 
-# Cap on the number of candidate generator shapes scanned by enumeration ops.
+# Cap on the entries of generator shapes and the generators listed by enumeration ops.
 DEFAULT_ENUM_CAP = 5_000_000
 
 # is_matroid and Stanley-Reisner extraction scan all vertex subsets.
@@ -32,22 +33,16 @@ class StarConfig:
     """Parameters of a skeleton in the monomial model P^{s-1}.
 
     s is the number of hyperplanes (= number of variables), c the codimension.
-    ambient, when given, is a reported ambient dimension n with c <= n <= s-1;
-    it affects reporting only, never computation (the initial degree of every
-    symbolic power is the same in the monomial model).
     """
 
     s: int
     c: int
-    ambient: int | None = None
 
     def __post_init__(self):
         if self.s < 2:
             raise UsageError(f"need at least 2 hyperplanes, got s={self.s}")
         if not 1 <= self.c <= self.s - 1:
             raise UsageError(f"codimension must satisfy 1 <= c <= s-1, got c={self.c}, s={self.s}")
-        if self.ambient is not None and not self.c <= self.ambient <= self.s - 1:
-            raise UsageError(f"ambient dimension must satisfy c <= n <= s-1, got n={self.ambient}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +74,9 @@ def make_complex(vertex_count: int, facets) -> SimplicialComplex:
 def skeleton_ideal(cfg: StarConfig) -> ex.MonomialIdeal:
     """The ideal of the codimension-c skeleton: all squarefree monomials of degree s-c+1."""
     s, c = cfg.s, cfg.c
+    count = comb(s, s - c + 1)
+    if count > DEFAULT_ENUM_CAP:
+        raise ResourceCapError(f"skeleton ideal has {count} generators, cap is {DEFAULT_ENUM_CAP}")
     gens = []
     for support in itertools.combinations(range(s), s - c + 1):
         e = [0] * s
@@ -104,39 +102,50 @@ def symbolic_member(mu: ex.Exponent, cfg: StarConfig, ell: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def symbolic_power(cfg: StarConfig, ell: int, enum_cap: int = DEFAULT_ENUM_CAP) -> ex.MonomialIdeal:
-    """Minimal generating antichain of the ell-th symbolic power.
+def symbolic_shapes(cfg: StarConfig, ell: int, enum_cap: int = DEFAULT_ENUM_CAP) -> tuple[tuple[int, ...], ...]:
+    """The minimal generators of the ell-th symbolic power up to permuting variables.
 
-    Minimal generators have every exponent <= ell, so the search space is
-    {0..ell}^s.  Membership and minimality depend only on the multiset of
-    exponents, so the scan runs over nondecreasing tuples and expands the
-    distinct arrangements of the survivors.
+    A nondecreasing t is a member iff its first c entries sum to >= ell, and
+    minimal iff lowering the first copy of any nonzero value leaves it out.
+    So its first c entries sum to exactly ell and the other s-c all equal the
+    c-th: the shapes are the partitions of ell into at most c parts, padded.
     """
     if ell <= 0:
         raise UsageError(f"symbolic power exponent must be >= 1, got {ell}")
     s, c = cfg.s, cfg.c
-    shapes = comb(ell + s, s)
-    if shapes > enum_cap:
-        raise ResourceCapError(
-            f"symbolic power enumeration needs {shapes} candidate shapes, cap is {enum_cap}"
-        )
-    gens: list[ex.Exponent] = []
-    for t in itertools.combinations_with_replacement(range(ell + 1), s):
-        if sum(t[:c]) < ell:  # t is nondecreasing: first c entries are the c smallest
-            continue
-        minimal = True
-        for v in sorted(set(t)):
-            if v == 0:
-                continue
-            # decrement the first copy of v; the tuple stays nondecreasing
-            i = t.index(v)
-            u = t[:i] + (v - 1,) + t[i + 1 :]
-            if sum(u[:c]) >= ell:
-                minimal = False
-                break
-        if minimal:
-            gens.extend(_distinct_permutations(t))
-    return ex.MonomialIdeal(s, tuple(sorted(gens, key=ex.grlex_key)))
+    entries = s * comb(ell + c - 1, c - 1)  # comb(..) bounds the c-tuples summing to ell
+    if entries > enum_cap:
+        raise ResourceCapError(f"symbolic power shapes need up to {entries} entries, cap is {enum_cap}")
+    return tuple((0,) * (c - len(p)) + p + (p[-1],) * (s - c) for p in _partitions(ell, c, 1))
+
+
+def _partitions(total: int, parts: int, least: int):
+    """Nondecreasing tuples of at most `parts` entries, each >= least, summing to total >= least."""
+    yield (total,)
+    if parts > 1:
+        for first in range(least, total // 2 + 1):
+            for rest in _partitions(total - first, parts - 1, first):
+                yield (first,) + rest
+
+
+@lru_cache(maxsize=None)
+def symbolic_power(cfg: StarConfig, ell: int, enum_cap: int = DEFAULT_ENUM_CAP) -> ex.MonomialIdeal:
+    """Minimal generating antichain of the ell-th symbolic power: the arrangements of its shapes."""
+    shapes = symbolic_shapes(cfg, ell, enum_cap)
+    count = sum(_arrangement_count(t) for t in shapes)
+    if count > enum_cap:
+        raise ResourceCapError(f"symbolic power has more than {enum_cap} minimal generators (the cap)")
+    gens = [g for t in shapes for g in _distinct_permutations(t)]
+    return ex.MonomialIdeal(cfg.s, tuple(sorted(gens, key=ex.grlex_key)))
+
+
+def _arrangement_count(t: tuple[int, ...]) -> int:
+    """The number of distinct arrangements of t: the multinomial of its multiplicities."""
+    count, placed = 1, 0
+    for k in Counter(t).values():
+        placed += k
+        count *= comb(placed, k)
+    return count
 
 
 def _distinct_permutations(t: tuple[int, ...]):
@@ -343,6 +352,7 @@ __all__ = [
     "symbolic_member",
     "symbolic_power",
     "symbolic_power_by_intersection",
+    "symbolic_shapes",
     "wk_degree",
     "wk_ideal",
     "wk_link_monomial",

@@ -1,6 +1,9 @@
 """CLI dispatch, exit codes, determinism, and golden files."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -118,6 +121,12 @@ def test_betti_14_7_is_checked(capsys):
         ["hvector", "--s", "3000", "--c", "1500"],
         ["hvector", "--s", str(10**400), "--c", "2"],
         ["skeleton", "--s", str(10**400), "--c", "2"],
+        # few shapes, but about 2.4e11 arrangements to list
+        ["symbolic", "--s", "40", "--c", "20", "--ell", "2"],
+        # about 9.7 million skeleton generators
+        ["skeleton", "--s", "26", "--c", "13"],
+        # about 6.1e8 subsets of forms in the script
+        ["export", "--s", "30", "--c", "15", "--ell", "1", "--target", "m2-syntax"],
     ],
 )
 def test_huge_hvector_is_refused_fast(capsys, argv):
@@ -147,6 +156,29 @@ def test_resource_cap_exit_code(capsys):
     code, _, err = run(capsys, ["containment", "--s", "5", "--c", "3", "--m", "2", "--r", "7"])
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+def test_exhausted_resource_is_exit_3(capsys, monkeypatch, exc):
+    def boom(*args, **kwargs):
+        raise exc()
+
+    monkeypatch.setattr(cli.decomp, "verify_power_decomposition", boom)
+    code, out, err = run(capsys, ["decomp", "--s", "4", "--c", "2", "--ell", "2"])
+    assert code == 3 and out == ""
+    assert err.startswith(f"error (resource-cap): {exc.__name__}")
+
+
+def test_cli_import_leaves_numpy_out():
+    # a fresh interpreter: this one may have imported numpy for other reasons
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = "import sys, starconfig.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout == "False\n"
 
 
 def test_theorem_violation_exit_code(capsys, monkeypatch):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import ceil, comb, floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starconfig import decomp, exponents as ex
 from starconfig.errors import ResourceCapError, UsageError
@@ -66,6 +68,26 @@ def test_symbolic_in_power_basics():
         decomp.symbolic_in_power(4, 2, 0, 1)
     with pytest.raises(ResourceCapError):
         decomp.symbolic_in_power(5, 3, 2, 6)  # default cap for s=5 is 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_symbolic_in_power_matches_contains_oracle(data):
+    s = data.draw(st.integers(2, 6))
+    c = data.draw(st.integers(1, s - 1))
+    m, r = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 4))
+    cfg = StarConfig(s, c)
+    oracle = ex.contains(ex.power(skeleton_ideal(cfg), r), symbolic_power(cfg, m))
+    assert decomp.symbolic_in_power(s, c, m, r, r_cap=4) == oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_skeleton_power_matches_repeated_multiply(data):
+    s = data.draw(st.integers(2, 6))
+    c = data.draw(st.integers(1, s - 1))
+    r = data.draw(st.integers(1, 4))
+    assert ex.equals(decomp._skeleton_power(s, c, r), ex.power(skeleton_ideal(StarConfig(s, c)), r))
 
 
 def test_symbolic_in_symbolic_iff_m_ge_r():

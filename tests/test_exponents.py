@@ -161,20 +161,6 @@ def test_contains_alpha_omega():
     assert ex.alpha(ex.unit_ideal(3)) == 0
 
 
-def test_contains_batch_path_matches_small_path():
-    # force the numpy batch by shrinking the threshold
-    sk = skeleton_ideal(StarConfig(5, 3))
-    big = ex.power(sk, 4)
-    probe = symbolic_power(StarConfig(5, 3), 10)
-    expected = all(ex.member(g, big) for g in probe.gens)
-    old = ex._BATCH_THRESHOLD
-    try:
-        ex._BATCH_THRESHOLD = 1
-        assert ex.contains(big, probe) == expected
-    finally:
-        ex._BATCH_THRESHOLD = old
-
-
 def test_equals_is_equivalence():
     a = ideal(2, (1, 2), (2, 1))
     b = ex.minimalize(2, [(2, 1), (1, 2), (2, 2)])
