@@ -35,7 +35,6 @@ from .hilbert import (
     generic_hvector,
     h_vector,
     hilbert_function,
-    series_numerator,
     ss_hvector_formula,
     symbolic_h_vector,
     symbolic_numerator,

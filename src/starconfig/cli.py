@@ -9,7 +9,7 @@ Exit codes: 0 computed/verified, 1 theorem check failed (witness printed),
 2 usage error, 3 resource cap exceeded.
 
 Environment variables override default caps: STARCONFIG_ENUM_CAP (symbolic
-power enumeration), STARCONFIG_DEGREE_CAP (Hilbert function degree cap),
+power enumeration), STARCONFIG_DEGREE_CAP (h-vector degree cap),
 STARCONFIG_POWER_CAP (ordinary-power exponent cap in containment commands).
 """
 
@@ -349,8 +349,7 @@ def export_cas(
         raise UsageError(f"unknown export target {target!r}")
     if len(forms) != s:
         raise UsageError(f"expected {s} linear forms, got {len(forms)}")
-    if ell < 1:
-        raise UsageError(f"need ell >= 1, got {ell}")
+    star.check_ell(ell)
     n = len(forms[0]) - 1
     if n < 1:
         raise UsageError("forms must have at least 2 coefficients")

@@ -55,6 +55,7 @@ def _default_r_cap(s: int) -> int:
     return DEFAULT_R_CAPS.get(s, DEFAULT_R_CAP_LARGE if s > 5 else 10)
 
 
+@lru_cache(maxsize=None)
 def _symbolic_intersection(s: int, c: int, ell: int) -> ex.MonomialIdeal:
     """The intersection of the ((j+1)*ell)-th symbolic powers of the codimension-(c+j) skeletons, j = 0..N-c."""
     return ex.intersect_many(
@@ -69,8 +70,7 @@ def rhs_decomposition(s: int, c: int, ell: int) -> ex.MonomialIdeal:
     skeletons for j = 0..N-c (N = s-1), then the (N-c+2)*ell-th power of the
     irrelevant ideal.
     """
-    if ell < 1:
-        raise UsageError(f"need ell >= 1, got {ell}")
+    star.check_ell(ell)
     # the irrelevant factor: intersect with M^t via degree truncation
     return ex.truncate_to_degree(_symbolic_intersection(s, c, ell), (s - c + 1) * ell)
 
@@ -159,8 +159,6 @@ class ContainmentReport:
 
     s: int
     c: int
-    m_max: int
-    r_max: int
     entries: tuple[tuple[int, int, bool], ...]  # (m, r, contained)
     empirical_sup: Fraction | None
     lower_bound: Fraction
@@ -204,8 +202,6 @@ def resurgence_scan(
     return ContainmentReport(
         s=s,
         c=c,
-        m_max=m_max,
-        r_max=r_max,
         entries=tuple(entries),
         empirical_sup=sup,
         lower_bound=rho_lower_bound(s, c),

@@ -41,11 +41,6 @@ def monomial_str(t: Exponent) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def deg(t: Exponent) -> int:
-    """Total degree of an exponent tuple."""
-    return sum(t)
-
-
 def _check_exponent(t: Exponent, arity: int) -> None:
     if len(t) != arity:
         raise UsageError(f"exponent tuple {t} has arity {len(t)}, expected {arity}")
@@ -299,17 +294,6 @@ def monomials_of_degree(arity: int, d: int):
     return compositions(d, arity)
 
 
-def degree_bound(ideal: MonomialIdeal) -> int:
-    """Degree of the lcm of all generators.
-
-    The Hilbert-series numerator of the ideal vanishes beyond this degree
-    (every twist in the Taylor complex is the lcm of a generator subset).
-    """
-    if ideal.is_zero:
-        return 0
-    return sum(max(col) for col in zip(*ideal.gens))
-
-
 __all__ = [
     "Exponent",
     "MonomialIdeal",
@@ -318,8 +302,6 @@ __all__ = [
     "colon_ideal",
     "compositions",
     "contains",
-    "deg",
-    "degree_bound",
     "divides",
     "equals",
     "grlex_key",

@@ -204,40 +204,26 @@ def hb_matrix(s: int, m: int) -> SymbolicMatrix:
     zero = SparsePoly.zero(s)
     var = [SparsePoly.variable(s, i) for i in range(s)]
     p_neg = [SparsePoly.monomial(s, _p_monomial(s, i), -1) for i in range(s)]
-
+    r = m // 2
+    top, left = (1, 0) if m % 2 == 0 else (s, s - 1)  # the header's rows and columns
+    rows, cols = top + s * r, left + s * r
+    grid = [[zero] * cols for _ in range(rows)]
     if m % 2 == 0:
-        r = m // 2
-        rows, cols = s * r + 1, s * r
-        grid = [[zero] * cols for _ in range(rows)]
         for i in range(s):  # top row: B
             grid[0][i] = p_neg[i]
-        for block in range(1, r + 1):
-            r0 = 1 + (block - 1) * s
-            c_diag = (block - 1) * s
-            for i in range(s):
-                grid[r0 + i][c_diag + i] = var[i]  # C
-                if block < r:
-                    grid[r0 + i][c_diag + s + i] = p_neg[i]  # E
     else:
-        r = (m - 1) // 2
-        rows, cols = s * (r + 1), s * (r + 1) - 1
-        grid = [[zero] * cols for _ in range(rows)]
         for j in range(s - 1):  # D block: -x_j above, x_{j+1} below
             grid[j][j] = -var[j]
             grid[j + 1][j] = var[j + 1]
         for i in range(s):  # E next to D
             grid[i][s - 1 + i] = p_neg[i]
-        for block in range(1, r + 1):
-            r0 = block * s
-            c_diag = (s - 1) + (block - 1) * s
-            for i in range(s):
-                grid[r0 + i][c_diag + i] = var[i]  # C
-                if block < r:
-                    grid[r0 + i][c_diag + s + i] = p_neg[i]  # E
-
-    matrix = SymbolicMatrix(rows, cols, tuple(tuple(row) for row in grid))
-    assert (matrix.rows, matrix.cols) == ((s * r + 1, s * r) if m % 2 == 0 else (s * (r + 1), s * (r + 1) - 1))
-    return matrix
+    for block in range(r):
+        r0, c0 = top + block * s, left + block * s
+        for i in range(s):
+            grid[r0 + i][c0 + i] = var[i]  # C
+            if block < r - 1:
+                grid[r0 + i][c0 + s + i] = p_neg[i]  # E
+    return SymbolicMatrix(rows, cols, tuple(tuple(row) for row in grid))
 
 
 def determinant(matrix: SymbolicMatrix) -> SparsePoly:
@@ -281,31 +267,15 @@ def _det_expand(
             best = (count, False, b)
 
     result = SparsePoly.zero(arity)
-    if best[0] == 0:
-        memo[key] = result
-        return result
-    if best[1]:
-        a = best[2]
-        r = rows[a]
-        sub_rows = rows[:a] + rows[a + 1 :]
-        for b, c in enumerate(cols):
-            entry = matrix.entry(r, c)
-            if entry.is_zero:
-                continue
-            minor = _det_expand(matrix, sub_rows, cols[:b] + cols[b + 1 :], memo, arity)
-            term = entry * minor
-            result = result + term if (a + b) % 2 == 0 else result - term
-    else:
-        b = best[2]
-        c = cols[b]
-        sub_cols = cols[:b] + cols[b + 1 :]
-        for a, r in enumerate(rows):
-            entry = matrix.entry(r, c)
-            if entry.is_zero:
-                continue
-            minor = _det_expand(matrix, rows[:a] + rows[a + 1 :], sub_cols, memo, arity)
-            term = entry * minor
-            result = result + term if (a + b) % 2 == 0 else result - term
+    _, is_row, a = best
+    for b in range(len(cols) if is_row else len(rows)):  # an all-zero line leaves the result zero
+        i, j = (a, b) if is_row else (b, a)
+        entry = matrix.entry(rows[i], cols[j])
+        if entry.is_zero:
+            continue
+        minor = _det_expand(matrix, rows[:i] + rows[i + 1 :], cols[:j] + cols[j + 1 :], memo, arity)
+        term = entry * minor
+        result = result + term if (i + j) % 2 == 0 else result - term
     memo[key] = result
     return result
 

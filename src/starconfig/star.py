@@ -28,6 +28,12 @@ DEFAULT_ENUM_CAP = 5_000_000
 MATROID_VERTEX_CAP = 16
 
 
+def check_ell(ell: int) -> None:
+    """Refuse a symbolic or ordinary power exponent below 1 as a usage error."""
+    if ell < 1:
+        raise UsageError(f"need ell >= 1, got {ell}")
+
+
 @dataclass(frozen=True)
 class StarConfig:
     """Parameters of a skeleton in the monomial model P^{s-1}.
@@ -59,9 +65,6 @@ class SimplicialComplex:
             if tuple(sorted(set(f))) != f:
                 raise UsageError(f"facet {f} is not a sorted duplicate-free tuple")
 
-    def is_face(self, subset: frozenset[int]) -> bool:
-        return any(subset <= set(f) for f in self.facets)
-
 
 def make_complex(vertex_count: int, facets) -> SimplicialComplex:
     """Canonicalize facet sets (drop faces contained in other faces, sort)."""
@@ -72,18 +75,8 @@ def make_complex(vertex_count: int, facets) -> SimplicialComplex:
 
 
 def skeleton_ideal(cfg: StarConfig) -> ex.MonomialIdeal:
-    """The ideal of the codimension-c skeleton: all squarefree monomials of degree s-c+1."""
-    s, c = cfg.s, cfg.c
-    count = comb(s, s - c + 1)
-    if count > DEFAULT_ENUM_CAP:
-        raise ResourceCapError(f"skeleton ideal has {count} generators, cap is {DEFAULT_ENUM_CAP}")
-    gens = []
-    for support in itertools.combinations(range(s), s - c + 1):
-        e = [0] * s
-        for i in support:
-            e[i] = 1
-        gens.append(tuple(e))
-    return ex.MonomialIdeal(s, tuple(sorted(gens, key=ex.grlex_key)))
+    """The ideal of the codimension-c skeleton, I^(1): all squarefree monomials of degree s-c+1."""
+    return symbolic_power(cfg, 1)
 
 
 def symbolic_member(mu: ex.Exponent, cfg: StarConfig, ell: int) -> bool:
@@ -92,8 +85,7 @@ def symbolic_member(mu: ex.Exponent, cfg: StarConfig, ell: int) -> bool:
     Membership is a threshold: the sum of the c smallest exponents must be at
     least ell (equivalently, mu vanishes to order >= ell on every component).
     """
-    if ell <= 0:
-        raise UsageError(f"symbolic power exponent must be >= 1, got {ell}")
+    check_ell(ell)
     if len(mu) != cfg.s:
         raise UsageError(f"arity mismatch: monomial has {len(mu)} entries, config has s={cfg.s}")
     if any(e < 0 for e in mu):
@@ -110,8 +102,7 @@ def symbolic_shapes(cfg: StarConfig, ell: int, enum_cap: int = DEFAULT_ENUM_CAP)
     So its first c entries sum to exactly ell and the other s-c all equal the
     c-th: the shapes are the partitions of ell into at most c parts, padded.
     """
-    if ell <= 0:
-        raise UsageError(f"symbolic power exponent must be >= 1, got {ell}")
+    check_ell(ell)
     s, c = cfg.s, cfg.c
     entries = s * comb(ell + c - 1, c - 1)  # comb(..) bounds the c-tuples summing to ell
     if entries > enum_cap:
@@ -173,8 +164,7 @@ def _distinct_permutations(t: tuple[int, ...]):
 
 def symbolic_power_by_intersection(cfg: StarConfig, ell: int) -> ex.MonomialIdeal:
     """Cross-check oracle: intersect the ell-th powers of all component primes."""
-    if ell <= 0:
-        raise UsageError(f"symbolic power exponent must be >= 1, got {ell}")
+    check_ell(ell)
     s, c = cfg.s, cfg.c
     terms = (
         ex.power(ex.variable_ideal(s, subset), ell)
@@ -188,8 +178,7 @@ def alpha_symbolic_formula(cfg: StarConfig, ell: int) -> int:
 
     Writing ell = q*c + r with 1 <= r <= c, the value is (q+1)*s - c + r.
     """
-    if ell <= 0:
-        raise UsageError(f"symbolic power exponent must be >= 1, got {ell}")
+    check_ell(ell)
     q, r = divmod(ell - 1, cfg.c)
     r += 1
     return (q + 1) * cfg.s - cfg.c + r
@@ -197,8 +186,7 @@ def alpha_symbolic_formula(cfg: StarConfig, ell: int) -> int:
 
 def omega_symbolic_formula(cfg: StarConfig, ell: int) -> int:
     """Closed form for the top generator degree: ell*(s-c+1), the initial degree of the ordinary power."""
-    if ell <= 0:
-        raise UsageError(f"symbolic power exponent must be >= 1, got {ell}")
+    check_ell(ell)
     return ell * (cfg.s - cfg.c + 1)
 
 
@@ -241,13 +229,18 @@ def stanley_reisner_ideal(complex_: SimplicialComplex) -> ex.MonomialIdeal:
     v = complex_.vertex_count
     if v > MATROID_VERTEX_CAP:
         raise ResourceCapError(f"non-face scan is exponential; cap is {MATROID_VERTEX_CAP} vertices")
+    facet_sets = [frozenset(f) for f in complex_.facets]
+
+    def is_face(subset: frozenset[int]) -> bool:
+        return any(subset <= f for f in facet_sets)
+
     gens = []
     for k in range(1, v + 1):
         for w in itertools.combinations(range(v), k):
             ws = frozenset(w)
-            if complex_.is_face(ws):
+            if is_face(ws):
                 continue
-            if all(complex_.is_face(ws - {x}) for x in w):
+            if all(is_face(ws - {x}) for x in w):
                 e = [0] * v
                 for i in w:
                     e[i] = 1
@@ -268,7 +261,7 @@ def _wk_thresholds(s: int, ell: int, k: int) -> dict[tuple[int, int], int]:
     return a
 
 
-def wk_ideal(s: int, ell: int, k: int, enum_cap: int = DEFAULT_ENUM_CAP) -> ex.MonomialIdeal:
+def wk_ideal(s: int, ell: int, k: int) -> ex.MonomialIdeal:
     """The intersection of pair-prime powers interpolating between symbolic powers.
 
     W_0 is the ell-th symbolic power of the codimension-2 skeleton and W_s the
@@ -276,35 +269,15 @@ def wk_ideal(s: int, ell: int, k: int, enum_cap: int = DEFAULT_ENUM_CAP) -> ex.M
     """
     if s < 3:
         raise UsageError(f"codimension-2 configurations need s >= 3, got {s}")
-    if ell < 1:
-        raise UsageError(f"need ell >= 1, got {ell}")
+    check_ell(ell)
     if not 0 <= k <= s:
         raise UsageError(f"need 0 <= k <= s, got k={k}")
-    thresholds = _wk_thresholds(s, ell, k)
-    box = ell + 3
-    if box**s > enum_cap:
-        raise ResourceCapError(f"W_k enumeration needs {box}^{s} points, cap is {enum_cap}")
-
-    pairs = list(thresholds.items())
-
-    def is_member(t: tuple[int, ...]) -> bool:
-        return all(t[i] + t[j] >= a for (i, j), a in pairs)
-
-    gens = []
-    for t in itertools.product(range(box), repeat=s):
-        if not is_member(t):
-            continue
-        minimal = True
-        for v in range(s):
-            if t[v] == 0:
-                continue
-            u = t[:v] + (t[v] - 1,) + t[v + 1 :]
-            if is_member(u):
-                minimal = False
-                break
-        if minimal:
-            gens.append(t)
-    return ex.MonomialIdeal(s, tuple(sorted(gens, key=ex.grlex_key)))
+    # the chain checks run the Hilbert numerator recursion on W_k, which has no cap of its own
+    if (ell + 3) ** s > DEFAULT_ENUM_CAP:
+        raise ResourceCapError(f"W_k is capped at (ell+3)^s <= {DEFAULT_ENUM_CAP}, got {ell + 3}^{s}")
+    return ex.intersect_many(
+        ex.power(ex.variable_ideal(s, pair), a) for pair, a in _wk_thresholds(s, ell, k).items()
+    )
 
 
 def wk_degree(s: int, ell: int, k: int) -> int:
@@ -342,6 +315,7 @@ __all__ = [
     "SimplicialComplex",
     "StarConfig",
     "alpha_symbolic_formula",
+    "check_ell",
     "check_lemma_contain",
     "is_matroid",
     "make_complex",

@@ -137,6 +137,14 @@ def test_huge_hvector_is_refused_fast(capsys, argv):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("command", ["skeleton", "hvector"])
+def test_degree_cap_bounds_the_h_vector(capsys, command):
+    # K(t) has degree 20, but the h-vector [1, 19] has degree 1, under the cap of 12
+    code, out, _ = run(capsys, [command, "--s", "20", "--c", "19", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["h_vector"] == [1, 19]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -203,22 +203,47 @@ def test_bdg_hf_check_rejects_wrong_result():
     assert not hilbert.bdg_hf_check(i_s, i_c, 1, i_c)  # the true result is skeleton(4,2)
 
 
-def test_series_numerator():
-    assert hilbert.series_numerator(ex.unit_ideal(3)) == ()
-    assert hilbert.series_numerator(ex.zero_ideal(3)) == (1,)
-    k = hilbert.series_numerator(skeleton_ideal(StarConfig(4, 2)))
+def bdg_by_degrees(i_s, i_c, d, i_result):
+    """The basic-double-link identity degree by degree, up to past every numerator's degree."""
+
+    def lcm_degree(ideal):
+        return sum(max(col) for col in zip(*ideal.gens)) if ideal.gens else 0
+
+    def hf(ideal, t):
+        return hilbert.hilbert_function(ideal, t) if t >= 0 else 0
+
+    top = max(lcm_degree(i_s), lcm_degree(i_c), lcm_degree(i_result)) + d + 1
+    return all(
+        hf(i_result, t) == hf(i_s, t) - hf(i_s, t - d) + hf(i_c, t - d) for t in range(top + 1)
+    )
+
+
+def test_bdg_hf_check_matches_degree_by_degree_identity():
+    from starconfig.star import wk_link_monomial
+
+    cases = []
+    for s, ell in [(4, 1), (4, 2), (5, 1)]:
+        for k in range(s):
+            link = ex.MonomialIdeal(s, (wk_link_monomial(s, ell, k),))
+            before, after = wk_ideal(s, ell, k), wk_ideal(s, ell, k + 1)
+            cases += [(link, before, 1, after), (link, before, 2, after), (link, after, 1, before)]
+    for s in range(4, 6):
+        for c in range(2, s - 1):
+            i_c = extend(skeleton_ideal(StarConfig(s - 1, c)), s)
+            i_s = extend(skeleton_ideal(StarConfig(s - 1, c - 1)), s)
+            cases += [(i_s, i_c, 1, skeleton_ideal(StarConfig(s, c))), (i_s, i_c, 1, i_c)]
+    verdicts = [hilbert.bdg_hf_check(*case) for case in cases]
+    assert verdicts == [bdg_by_degrees(*case) for case in cases]
+    assert True in verdicts and False in verdicts
+
+
+def test_numerator():
+    assert hilbert._numerator(ex.unit_ideal(3)) == ()
+    assert hilbert._numerator(ex.zero_ideal(3)) == (1,)
+    k = hilbert._numerator(skeleton_ideal(StarConfig(4, 2)))
     assert k == (1, 0, 0, -4, 3)
-    # numerator evaluated near t=1: K(1) = 0 and -K'(1)/... the degree shows up
-    # as the value of K/(1-t)^c at t=1; check through the h-vector instead
+    # K(t) = (1-t)^2 (1 + 2t + 3t^2), and the h-vector sums to the degree
     assert sum(hilbert.h_vector(skeleton_ideal(StarConfig(4, 2)), 2).entries) == 6
-
-
-def test_series_numerator_small_cap():
-    ideal = symbolic_power(StarConfig(4, 2), 2)
-    full = hilbert.series_numerator(ideal)
-    assert hilbert.series_numerator(ideal, cap=len(full) + 5) == full
-    with pytest.raises(ResourceCapError):
-        hilbert.series_numerator(ideal, cap=6)  # numerator reaches degree 8
 
 
 @settings(max_examples=40, deadline=None)

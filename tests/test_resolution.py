@@ -212,8 +212,8 @@ def test_maximal_minors_shape_check():
         resolution.maximal_minors(square)
 
 
-def test_shape_numerator_matches_series_numerator():
+def test_shape_numerator_matches_numerator():
     for s, c in [(4, 2), (5, 2), (5, 3)]:
         shape = resolution.ss_resolution(s, c)
         ideal = symbolic_power(StarConfig(s, c), 2)
-        assert resolution.shape_numerator(shape) == hilbert.series_numerator(ideal)
+        assert resolution.shape_numerator(shape) == hilbert._numerator(ideal)

@@ -23,6 +23,22 @@ def brute_symbolic_power(cfg, ell):
     return ex.minimalize(cfg.s, members)
 
 
+def squarefree_veronese(s, d):
+    """All squarefree monomials of degree d in s variables, listed by their supports."""
+    supports = itertools.combinations(range(s), d)
+    return ex.minimalize(s, [tuple(int(i in sup) for i in range(s)) for sup in supports])
+
+
+def brute_wk_ideal(s, ell, k):
+    """Box scan of {0..ell+2}^s: the members of the pair-prime intersection, minimalized."""
+    pairs = list(star._wk_thresholds(s, ell, k).items())
+
+    def is_member(t):
+        return all(t[i] + t[j] >= a for (i, j), a in pairs)
+
+    return ex.minimalize(s, [t for t in itertools.product(range(ell + 3), repeat=s) if is_member(t)])
+
+
 def test_star_config_validation():
     StarConfig(4, 2)
     with pytest.raises(UsageError):
@@ -50,7 +66,9 @@ def test_skeleton_ideal():
 def test_skeleton_generator_count_formula():
     for s in range(2, 8):
         for c in range(1, s):
-            assert len(star.skeleton_ideal(StarConfig(s, c)).gens) == comb(s, c - 1)
+            sk = star.skeleton_ideal(StarConfig(s, c))
+            assert len(sk.gens) == comb(s, c - 1)
+            assert ex.equals(sk, squarefree_veronese(s, s - c + 1))
 
 
 def test_symbolic_member():
@@ -72,7 +90,7 @@ def test_symbolic_member():
 
 def test_symbolic_power_small():
     cfg = StarConfig(4, 2)
-    assert ex.equals(star.symbolic_power(cfg, 1), star.skeleton_ideal(cfg))
+    assert ex.equals(star.symbolic_power(cfg, 1), squarefree_veronese(4, 3))
     sp2 = star.symbolic_power(cfg, 2)
     assert (1, 1, 1, 1) in sp2.gens
     assert (0, 2, 2, 2) in sp2.gens
@@ -172,13 +190,18 @@ def test_wk_endpoints_and_intersection_oracle():
     for s, ell in [(4, 1), (5, 2)]:
         assert ex.equals(star.wk_ideal(s, ell, 0), star.symbolic_power(StarConfig(s, 2), ell))
         assert ex.equals(star.wk_ideal(s, ell, s), star.symbolic_power(StarConfig(s, 2), ell + 2))
-    # lcm-intersection route agrees with the box enumeration
-    for s, ell, k in [(4, 1, 2), (4, 2, 1), (5, 1, 3)]:
-        terms = [
-            ex.power(ex.variable_ideal(s, [i, j]), a)
-            for (i, j), a in star._wk_thresholds(s, ell, k).items()
-        ]
-        assert ex.equals(star.wk_ideal(s, ell, k), ex.intersect_many(terms))
+    # the intersection of pair-prime powers agrees with brute-force membership in it
+    for s, ell, k in [(4, 1, 2), (4, 2, 1), (5, 1, 3), (6, 1, 4)]:
+        assert ex.equals(star.wk_ideal(s, ell, k), brute_wk_ideal(s, ell, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_wk_ideal_matches_box_scan_property(data):
+    s = data.draw(st.integers(3, 5))
+    ell = data.draw(st.integers(1, 2))
+    for k in range(s + 1):
+        assert ex.equals(star.wk_ideal(s, ell, k), brute_wk_ideal(s, ell, k))
 
 
 def test_wk_chain_is_increasing():
