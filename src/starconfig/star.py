@@ -21,7 +21,7 @@ from math import comb
 from . import exponents as ex
 from .errors import ResourceCapError, UsageError
 
-# Cap on the entries of generator shapes and the generators listed by enumeration ops.
+# Cap on the exponent entries of the shapes and generators listed by enumeration ops.
 DEFAULT_ENUM_CAP = 5_000_000
 
 # is_matroid and Stanley-Reisner extraction scan all vertex subsets.
@@ -121,11 +121,15 @@ def _partitions(total: int, parts: int, least: int):
 
 @lru_cache(maxsize=None)
 def symbolic_power(cfg: StarConfig, ell: int, enum_cap: int = DEFAULT_ENUM_CAP) -> ex.MonomialIdeal:
-    """Minimal generating antichain of the ell-th symbolic power: the arrangements of its shapes."""
+    """Minimal generating antichain of the ell-th symbolic power: the arrangements of its shapes.
+
+    Refuses when the generators would hold more than enum_cap exponent entries
+    (s per generator), since every caller keeps or prints all of them.
+    """
     shapes = symbolic_shapes(cfg, ell, enum_cap)
-    count = sum(_arrangement_count(t) for t in shapes)
-    if count > enum_cap:
-        raise ResourceCapError(f"symbolic power has more than {enum_cap} minimal generators (the cap)")
+    entries = cfg.s * sum(_arrangement_count(t) for t in shapes)
+    if entries > enum_cap:
+        raise ResourceCapError(f"symbolic power generators need {entries} entries, cap is {enum_cap}")
     gens = [g for t in shapes for g in _distinct_permutations(t)]
     return ex.MonomialIdeal(cfg.s, tuple(sorted(gens, key=ex.grlex_key)))
 

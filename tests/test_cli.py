@@ -125,6 +125,9 @@ def test_betti_14_7_is_checked(capsys):
         ["symbolic", "--s", "40", "--c", "20", "--ell", "2"],
         # about 9.7 million skeleton generators
         ["skeleton", "--s", "26", "--c", "13"],
+        # few generators by count, but each of 3000 or 2000 entries
+        ["skeleton", "--s", "3000", "--c", "3"],
+        ["skeleton", "--s", "2000", "--c", "1999"],
         # about 6.1e8 subsets of forms in the script
         ["export", "--s", "30", "--c", "15", "--ell", "1", "--target", "m2-syntax"],
     ],

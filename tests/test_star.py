@@ -136,6 +136,10 @@ def test_symbolic_power_enum_cap():
     # two shapes of 12 entries pass the cap, but they expand to 1287 generators
     with pytest.raises(ResourceCapError):
         star.symbolic_power(StarConfig(12, 6), 2, enum_cap=1000)
+    # the cap counts the entries listed, 1287 * 12 = 15444, not the generators
+    with pytest.raises(ResourceCapError):
+        star.symbolic_power(StarConfig(12, 6), 2, enum_cap=15443)
+    assert len(star.symbolic_power(StarConfig(12, 6), 2, enum_cap=15444).gens) == 1287
 
 
 def test_symbolic_contains_ordinary_power():
