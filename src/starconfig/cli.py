@@ -157,7 +157,7 @@ def _cmd_betti(args) -> tuple[dict, int]:
 def _cmd_hb(args) -> tuple[dict, int]:
     matrix = resolution.hb_matrix(args.s, args.m)
     minors = resolution.maximal_minors(matrix)
-    verified = resolution.verify_hb(args.s, args.m)
+    verified = resolution.verify_hb(args.s, args.m, minors)
     report = {
         "command": "hb",
         "params": {"s": args.s, "m": args.m},
@@ -235,31 +235,32 @@ def _cmd_matroid(args) -> tuple[dict, int]:
 
 
 def _cmd_wk(args) -> tuple[dict, int]:
-    ks = [args.k] if args.k is not None else list(range(args.s))
+    s, ell = args.s, args.ell
+    star.check_wk(s, ell)  # before anything is listed, so a huge s is refused
+    if args.k is not None and not 0 <= args.k < s:
+        raise UsageError(f"need 0 <= k < s, got k={args.k}")
+    ks = range(s) if args.k is None else range(args.k, args.k + 1)
+    chain = {j: star.wk_ideal(s, ell, j) for j in range(ks.start, ks.stop + 1)}  # each W_j once
     steps = []
     all_ok = True
     for k in ks:
-        step_ok = star.wk_step_check(args.s, args.ell, k)
-        link = star.wk_link_monomial(args.s, args.ell, k)
-        hf_ok = hilbert.bdg_hf_check(
-            ex.MonomialIdeal(args.s, (link,)),
-            star.wk_ideal(args.s, args.ell, k),
-            1,
-            star.wk_ideal(args.s, args.ell, k + 1),
-        )
+        current, nxt = chain[k], chain[k + 1]
+        step_ok = star.wk_step_check(s, ell, k, current, nxt)
+        link = ex.MonomialIdeal(s, (star.wk_link_monomial(s, ell, k),))
+        hf_ok = hilbert.bdg_hf_check(link, current, 1, nxt)
         all_ok = all_ok and step_ok and hf_ok
         steps.append(
             {
                 "k": k,
                 "link_identity_and_degree": step_ok,
                 "hilbert_function_identity": hf_ok,
-                "degree_before": star.wk_degree(args.s, args.ell, k),
-                "degree_after": star.wk_degree(args.s, args.ell, k + 1),
+                "degree_before": star.wk_degree(s, ell, k),
+                "degree_after": star.wk_degree(s, ell, k + 1),
             }
         )
     report = {
         "command": "wk",
-        "params": {"s": args.s, "ell": args.ell, "k": args.k},
+        "params": {"s": s, "ell": ell, "k": args.k},
         "caps": {},
         "steps": steps,
         "all_steps_verified": all_ok,
@@ -308,14 +309,12 @@ def parse_forms(text: str) -> list[tuple[Fraction, ...]]:
 
 
 def _pairwise_dependent(forms: list[tuple[Fraction, ...]]) -> list[tuple[int, int]]:
-    bad = []
-    for i in range(len(forms)):
-        for j in range(i + 1, len(forms)):
-            a, b = forms[i], forms[j]
-            # rank of the 2 x (n+1) matrix is < 2 iff all 2x2 minors vanish
-            if all(a[p] * b[q] - a[q] * b[p] == 0 for p in range(len(a)) for q in range(p + 1, len(a))):
-                bad.append((i, j))
-    return bad
+    # a pair is dependent iff its 2 x (n+1) matrix has rank < 2: all its 2x2 minors vanish
+    return [
+        (i, j)
+        for (i, a), (j, b) in combinations(enumerate(forms), 2)
+        if all(a[p] * b[q] == a[q] * b[p] for p, q in combinations(range(len(a)), 2))
+    ]
 
 
 def _coeff_str(q: Fraction) -> str:
@@ -491,60 +490,44 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--jobs", type=int, default=1, help="parallelism hint; does not affect output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
+    def add(name, help, *required):
+        """A subcommand taking --s and then the named required integer flags."""
+        p = sub.add_parser(name, parents=[common], help=help)
         p.add_argument("--s", type=int, required=True, help="number of hyperplanes/variables")
+        for flag in required:
+            p.add_argument(f"--{flag}", type=int, required=True)
         return p
 
-    p = add("skeleton", help="skeleton ideal: generators, h-vector, degree, alpha")
-    p.add_argument("--c", type=int, required=True)
+    p = add("skeleton", "skeleton ideal: generators, h-vector, degree, alpha", "c")
     p.add_argument("--degree-cap", type=_positive_int, default=_env_cap("STARCONFIG_DEGREE_CAP"))
 
-    p = add("symbolic", help="symbolic power: generators, alpha/omega vs closed forms")
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    p = add("symbolic", "symbolic power: generators, alpha/omega vs closed forms", "c", "ell")
     p.add_argument("--enum-cap", type=_positive_int, default=_env_cap("STARCONFIG_ENUM_CAP"))
     p.add_argument("--max-listed", type=int, default=64, help="list generators only up to this count")
 
-    p = add("hvector", help="h-vector of the skeleton (--ell 1) or a symbolic power")
-    p.add_argument("--c", type=int, required=True)
+    p = add("hvector", "h-vector of the skeleton (--ell 1) or a symbolic power", "c")
     p.add_argument("--ell", type=int, default=1)
     p.add_argument("--degree-cap", type=_positive_int, default=_env_cap("STARCONFIG_DEGREE_CAP"))
 
-    p = add("betti", help="resolution shape of the symbolic square plus the Euler check")
-    p.add_argument("--c", type=int, required=True)
+    add("betti", "resolution shape of the symbolic square plus the Euler check", "c")
+    add("hb", "determinantal matrix, its maximal minors, and the minor-ideal check", "m")
 
-    p = add("hb", help="determinantal matrix, its maximal minors, and the minor-ideal check")
-    p.add_argument("--m", type=int, required=True)
-
-    p = add("decomp", help="power decomposition and saturation identity")
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    p = add("decomp", "power decomposition and saturation identity", "c", "ell")
     p.add_argument("--s-cap", type=_positive_int, default=decomp.DECOMP_S_CAP)
     p.add_argument("--l-cap", type=_positive_int, default=decomp.DECOMP_L_CAP)
 
-    p = add("containment", help="single symbolic-vs-ordinary power containment")
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p = add("containment", "single symbolic-vs-ordinary power containment", "c", "m", "r")
     p.add_argument("--power-cap", type=_positive_int, default=_env_cap("STARCONFIG_POWER_CAP"))
 
-    p = add("scan", help="containment grid with the empirical resurgence supremum")
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--mmax", type=int, required=True)
-    p.add_argument("--rmax", type=int, required=True)
+    p = add("scan", "containment grid with the empirical resurgence supremum", "c", "mmax", "rmax")
     p.add_argument("--power-cap", type=_positive_int, default=_env_cap("STARCONFIG_POWER_CAP"))
 
-    p = add("matroid", help="matroid property of the skeleton complex and the Stanley-Reisner check")
-    p.add_argument("--c", type=int, required=True)
+    add("matroid", "matroid property of the skeleton complex and the Stanley-Reisner check", "c")
 
-    p = add("wk", help="basic-double-link chain checks between symbolic powers (codimension 2)")
-    p.add_argument("--ell", type=int, required=True)
+    p = add("wk", "basic-double-link chain checks between symbolic powers (codimension 2)", "ell")
     p.add_argument("--k", type=int, default=None, help="single step; default checks every step")
 
-    p = add("export", help="emit a Macaulay2 or Singular script for the general-forms check")
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    p = add("export", "emit a Macaulay2 or Singular script for the general-forms check", "c", "ell")
     p.add_argument("--target", choices=("m2-syntax", "singular-syntax"), required=True)
     p.add_argument(
         "--forms",

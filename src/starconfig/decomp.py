@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, combinations_with_replacement
+from math import comb
 
 from . import exponents as ex
 from . import star
@@ -43,19 +45,11 @@ def irrelevant_power(s: int, t: int) -> ex.MonomialIdeal:
     return ex.MonomialIdeal(s, tuple(sorted(ex.monomials_of_degree(s, t), key=ex.grlex_key)))
 
 
-@lru_cache(maxsize=None)
-def _skeleton_power(s: int, c: int, r: int) -> ex.MonomialIdeal:
-    """The r-th power of the skeleton ideal: degree r(s-c+1), every exponent <= r (see symbolic_in_power)."""
-    star.StarConfig(s, c)  # validate ranges
-    gens = ex.compositions(r * (s - c + 1), s, r)
-    return ex.MonomialIdeal(s, tuple(sorted(gens, key=ex.grlex_key)))
-
-
 def _default_r_cap(s: int) -> int:
     return DEFAULT_R_CAPS.get(s, DEFAULT_R_CAP_LARGE if s > 5 else 10)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _symbolic_intersection(s: int, c: int, ell: int) -> ex.MonomialIdeal:
     """The intersection of the ((j+1)*ell)-th symbolic powers of the codimension-(c+j) skeletons, j = 0..N-c."""
     return ex.intersect_many(
@@ -75,27 +69,70 @@ def rhs_decomposition(s: int, c: int, ell: int) -> ex.MonomialIdeal:
     return ex.truncate_to_degree(_symbolic_intersection(s, c, ell), (s - c + 1) * ell)
 
 
-def _check_decomp_caps(check: str, s: int, ell: int, s_cap: int, l_cap: int) -> None:
+def _check_decomp(check: str, s: int, c: int, ell: int, s_cap: int, l_cap: int) -> None:
     if s > s_cap or ell > l_cap:
         raise ResourceCapError(f"{check} check capped at s <= {s_cap}, ell <= {l_cap}; got s={s}, ell={ell}")
+    star.StarConfig(s, c)  # validate ranges
+    star.check_ell(ell)
+    tuples = comb((s - c + 1) * ell + s, s)  # what _decomp_verdicts scans, when the caps are raised
+    if tuples > star.DEFAULT_ENUM_CAP:
+        raise ResourceCapError(f"{check} check scans {tuples} exponent tuples, cap is {star.DEFAULT_ENUM_CAP}")
+
+
+def _box_memberships(a: ex.Exponent, c: int, ell: int) -> tuple[bool, bool, bool, bool]:
+    """For nondecreasing a: is x^a in I^ell, the symbolic intersection, M^(d*ell), I^ell : M^inf?"""
+    d = len(a) - c + 1
+    capped = [min(e, ell) for e in a]
+    prefix = list(accumulate(a))
+    return (
+        sum(capped) >= ell * d,
+        all(prefix[c + j - 1] >= (j + 1) * ell for j in range(d - 1)),
+        prefix[-1] >= ell * d,
+        sum(capped) - capped[-1] >= ell * (d - 1),
+    )
+
+
+@lru_cache(maxsize=64)
+def _decomp_verdicts(s: int, c: int, ell: int) -> tuple[bool, bool]:
+    """(power decomposition holds, saturation identity holds), in one scan of threshold predicates.
+
+    With d = s-c+1 and M the irrelevant ideal, x^a lies in
+      - I^ell iff sum(min(a_i, ell)) >= ell*d (I is the squarefree Veronese
+        ideal of degree d; Herzog & Hibi, see symbolic_in_power);
+      - the symbolic intersection iff, for each j < s-c, the c+j smallest
+        a_i sum to >= (j+1)*ell (see star.symbolic_member);
+      - M^(d*ell) iff sum(a_i) >= d*ell;
+      - I^ell : M^inf iff x^a * x_i^N is in I^ell for every i and large N,
+        that is iff sum(min(a_i, ell)) - max_i min(a_i, ell) >= ell*(d-1).
+    Each of these ideals is symmetric and generated in the box [0, d*ell]^s:
+    I^ell has entries <= ell, the symbolic powers <= (s-c)*ell, intersections
+    take lcms, and J : M^inf is a finite intersection of colons J : x^b, each
+    generated by the g/gcd(g, x^b).  Ideals generated in the box are equal iff
+    they hold the same box monomials, so the predicates compared on the
+    C(d*ell+s, s) nondecreasing tuples of the box decide both identities.
+    """
+    power_ok = sat_ok = True
+    for a in combinations_with_replacement(range((s - c + 1) * ell + 1), s):
+        in_power, in_intersection, in_m, in_saturation = _box_memberships(a, c, ell)
+        power_ok = power_ok and in_power == (in_intersection and in_m)
+        sat_ok = sat_ok and in_saturation == in_intersection
+    return power_ok, sat_ok
 
 
 def verify_power_decomposition(
     s: int, c: int, ell: int, s_cap: int = DECOMP_S_CAP, l_cap: int = DECOMP_L_CAP
 ) -> bool:
-    """Whether the ell-th ordinary power equals its symbolic-power decomposition."""
-    _check_decomp_caps("decomposition", s, ell, s_cap, l_cap)
-    lhs = _skeleton_power(s, c, ell)
-    return ex.equals(lhs, rhs_decomposition(s, c, ell))
+    """Whether the ell-th ordinary power equals its symbolic-power decomposition (rhs_decomposition)."""
+    _check_decomp("decomposition", s, c, ell, s_cap, l_cap)
+    return _decomp_verdicts(s, c, ell)[0]
 
 
 def verify_saturation(
     s: int, c: int, ell: int, s_cap: int = DECOMP_S_CAP, l_cap: int = DECOMP_L_CAP
 ) -> bool:
     """Whether saturating the ell-th power removes exactly the irrelevant factor."""
-    _check_decomp_caps("saturation", s, ell, s_cap, l_cap)
-    lhs = ex.saturate(_skeleton_power(s, c, ell), irrelevant_ideal(s))
-    return ex.equals(lhs, _symbolic_intersection(s, c, ell))
+    _check_decomp("saturation", s, c, ell, s_cap, l_cap)
+    return _decomp_verdicts(s, c, ell)[1]
 
 
 def symbolic_in_power(s: int, c: int, m: int, r: int, r_cap: int | None = None) -> bool:

@@ -32,12 +32,7 @@ def grlex_key(t: Exponent) -> tuple:
 
 def monomial_str(t: Exponent) -> str:
     """Render an exponent tuple as a monomial in x0..x{s-1}, e.g. x0*x2^3."""
-    parts = []
-    for i, e in enumerate(t):
-        if e == 1:
-            parts.append(f"x{i}")
-        elif e > 1:
-            parts.append(f"x{i}^{e}")
+    parts = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(t) if e > 0]
     return "*".join(parts) if parts else "1"
 
 
@@ -97,9 +92,7 @@ def variable_ideal(arity: int, indices: Iterable[int]) -> MonomialIdeal:
     for i in indices:
         if not 0 <= i < arity:
             raise UsageError(f"variable index {i} out of range for arity {arity}")
-        e = [0] * arity
-        e[i] = 1
-        gens.append(tuple(e))
+        gens.append(tuple(int(j == i) for j in range(arity)))
     return minimalize(arity, gens)
 
 

@@ -57,29 +57,19 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _support_blocks(gens: tuple[ex.Exponent, ...]) -> list[tuple[ex.Exponent, ...]]:
-    """Partition generators into blocks with pairwise disjoint variable supports."""
-    supports = [frozenset(i for i, e in enumerate(g) if e > 0) for g in gens]
-    parent = list(range(len(gens)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if supports[i] & supports[j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    blocks: dict[int, list[ex.Exponent]] = {}
-    for i, g in enumerate(gens):
-        blocks.setdefault(find(i), []).append(g)
-    return [tuple(b) for b in blocks.values()]
+    """Partition generators into blocks with pairwise disjoint variable supports, in generator order."""
+    blocks: list[tuple[int, list[int]]] = []  # (support bitmask, generator indices)
+    for n, g in enumerate(gens):
+        support, members = sum(1 << i for i, e in enumerate(g) if e), [n]
+        for block in [b for b in blocks if b[0] & support]:
+            blocks.remove(block)
+            support |= block[0]
+            members += block[1]
+        blocks.append((support, members))
+    return [tuple(gens[n] for n in members) for members in sorted(sorted(m) for _, m in blocks)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _numerator(ideal: ex.MonomialIdeal) -> tuple[int, ...]:
     """Coefficients of the Hilbert-series numerator K(t) of R/ideal."""
     gens = ideal.gens

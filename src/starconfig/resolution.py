@@ -151,10 +151,7 @@ def ss_resolution(s: int, c: int) -> ResolutionShape:
         raise UsageError(f"need 2 <= c <= s-1, got c={c}, s={s}")
     modules = []
     for i in range(1, c + 1):
-        if i == 1:
-            m_i = comb(s, s - c + 1)
-        else:
-            m_i = comb(s, s - c + i) * (comb(s - c + i - 1, i - 1) + comb(s - c + i - 1, i - 2))
+        m_i = comb(s, s - c + i) * (comb(s - c + i - 1, i - 1) + (comb(s - c + i - 1, i - 2) if i > 1 else 0))
         n_i = comb(s, s - c + 1 + i) * comb(s - c + i, i - 1) if i <= c - 1 else 0
         pairs = []
         if n_i:
@@ -255,19 +252,11 @@ def _det_expand(
         memo[key] = result
         return result
 
-    # pick the line (row or column) with the fewest nonzero entries
-    best = None  # (count, is_row, index_in_line_list)
-    for a, r in enumerate(rows):
-        count = sum(1 for c in cols if not matrix.entry(r, c).is_zero)
-        if best is None or count < best[0]:
-            best = (count, True, a)
-    for b, c in enumerate(cols):
-        count = sum(1 for r in rows if not matrix.entry(r, c).is_zero)
-        if count < best[0]:
-            best = (count, False, b)
-
+    # pick the line (row or column) with the fewest nonzero entries, the first such row on a tie
+    lines = [(sum(not matrix.entry(r, c).is_zero for c in cols), True, a) for a, r in enumerate(rows)]
+    lines += [(sum(not matrix.entry(r, c).is_zero for r in rows), False, b) for b, c in enumerate(cols)]
+    _, is_row, a = min(lines, key=lambda line: line[0])
     result = SparsePoly.zero(arity)
-    _, is_row, a = best
     for b in range(len(cols) if is_row else len(rows)):  # an all-zero line leaves the result zero
         i, j = (a, b) if is_row else (b, a)
         entry = matrix.entry(rows[i], cols[j])
@@ -308,34 +297,26 @@ def expected_minor_monomials(s: int, m: int) -> set[ex.Exponent]:
     """
     if m < 2:
         raise UsageError(f"the family is defined for m >= 2, got m={m}")
-    out: set[ex.Exponent] = set()
-    if m % 2 == 0:
-        r = m // 2
-        out.add((r,) * s)
-        for j in range(1, r + 1):
-            for i in range(s):
-                out.add(tuple((r - j) if v == i else (r + j) for v in range(s)))
-    else:
-        r = (m - 1) // 2
-        for j in range(r + 1):
-            for i in range(s):
-                out.add(tuple((r - j) if v == i else (r + j + 1) for v in range(s)))
-    return out
+    r, odd = divmod(m, 2)
+    # x_i^(r-j) times x_v^(r+j+odd) for every v != i; for even m, j = 0 gives P^r for every i
+    return {tuple(r - j if v == i else r + j + odd for v in range(s)) for j in range(r + 1) for i in range(s)}
 
 
-def verify_hb(s: int, m: int) -> bool:
-    """Whether the maximal minors generate exactly the m-th symbolic power.
+def verify_hb(s: int, m: int, minors: list[SparsePoly] | None = None) -> bool:
+    """Whether the maximal minors of hb_matrix(s, m) generate exactly the m-th symbolic power.
 
+    Pass the minors when they are already computed; otherwise they are.
     Every minor must be plus or minus a single monomial; a minor with more
     terms is a theorem violation and raises with the witness.
     """
-    matrix = hb_matrix(s, m)
+    if minors is None:
+        minors = maximal_minors(hb_matrix(s, m))
     exps = []
-    for k, minor in enumerate(maximal_minors(matrix)):
+    for k, minor in enumerate(minors):
         mono = minor.as_monomial()
         if mono is None or abs(mono[0]) != 1:
             raise TheoremViolation(
-                f"maximal minor {k} of the {matrix.rows}x{matrix.cols} matrix "
+                f"maximal minor {k} of the {len(minors)}x{len(minors) - 1} matrix "
                 f"(s={s}, m={m}) is not a signed monomial: {minor}"
             )
         exps.append(mono[1])

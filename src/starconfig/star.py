@@ -24,7 +24,7 @@ from .errors import ResourceCapError, UsageError
 # Cap on the exponent entries of the shapes and generators listed by enumeration ops.
 DEFAULT_ENUM_CAP = 5_000_000
 
-# is_matroid and Stanley-Reisner extraction scan all vertex subsets.
+# is_matroid and Stanley-Reisner extraction list every face as a vertex bitmask.
 MATROID_VERTEX_CAP = 16
 
 
@@ -93,7 +93,7 @@ def symbolic_member(mu: ex.Exponent, cfg: StarConfig, ell: int) -> bool:
     return sum(sorted(mu)[: cfg.c]) >= ell
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def symbolic_shapes(cfg: StarConfig, ell: int, enum_cap: int = DEFAULT_ENUM_CAP) -> tuple[tuple[int, ...], ...]:
     """The minimal generators of the ell-th symbolic power up to permuting variables.
 
@@ -119,7 +119,7 @@ def _partitions(total: int, parts: int, least: int):
                 yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def symbolic_power(cfg: StarConfig, ell: int, enum_cap: int = DEFAULT_ENUM_CAP) -> ex.MonomialIdeal:
     """Minimal generating antichain of the ell-th symbolic power: the arrangements of its shapes.
 
@@ -208,61 +208,79 @@ def skeleton_complex(cfg: StarConfig) -> SimplicialComplex:
     return SimplicialComplex(cfg.s, facets)
 
 
+def _face_masks(complex_: SimplicialComplex) -> set[int]:
+    """Every face of the complex as a vertex bitmask: the submasks of its facets."""
+    v = complex_.vertex_count
+    if v > MATROID_VERTEX_CAP:
+        raise ResourceCapError(f"face-set checks are capped at {MATROID_VERTEX_CAP} vertices, got {v}")
+    faces: set[int] = set()
+    for f in complex_.facets:
+        top = sub = sum(1 << x for x in f)
+        while True:
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & top
+    return faces
+
+
 def is_matroid(complex_: SimplicialComplex) -> bool:
     """True iff every vertex-subset restriction of the complex is pure.
 
-    Scans all 2^v subsets; guarded by MATROID_VERTEX_CAP.
+    For a face σ let E(σ) be the vertices w outside σ with σ ∪ {w} a face.
+    σ is maximal in the restriction to W iff σ ⊆ W and W misses E(σ), and
+    the rank r(W), the largest face size in W, grows with W.  So the largest
+    W in which σ is maximal is V ∖ E(σ), and every restriction is pure iff
+    r(V ∖ E(σ)) = |σ| for every face σ.  r is tabulated over all bitmasks W:
+    |W| for a face, else the largest r(W ∖ {x}).  Guarded by MATROID_VERTEX_CAP.
     """
+    faces = _face_masks(complex_)
     v = complex_.vertex_count
-    if v > MATROID_VERTEX_CAP:
-        raise ResourceCapError(f"matroid check scans 2^{v} subsets; cap is {MATROID_VERTEX_CAP} vertices")
-    facet_sets = [frozenset(f) for f in complex_.facets]
-    vertices = list(range(v))
-    for k in range(v + 1):
-        for w in itertools.combinations(vertices, k):
-            ws = frozenset(w)
-            restricted = {f & ws for f in facet_sets}
-            maximal = [f for f in restricted if not any(f < g for g in restricted)]
-            if len({len(f) for f in maximal}) > 1:
-                return False
+    rank = [0] * (1 << v)
+    for w_set in range(1, 1 << v):
+        if w_set in faces:
+            rank[w_set] = w_set.bit_count()
+        else:
+            rank[w_set] = max(rank[w_set ^ 1 << x] for x in range(v) if w_set >> x & 1)
+    everything = (1 << v) - 1
+    for sigma in faces:
+        extensions = sum(1 << w for w in range(v) if not sigma >> w & 1 and sigma | 1 << w in faces)
+        if rank[everything & ~extensions] != sigma.bit_count():
+            return False
     return True
 
 
 def stanley_reisner_ideal(complex_: SimplicialComplex) -> ex.MonomialIdeal:
-    """The Stanley-Reisner ideal: squarefree monomials of the minimal non-faces."""
+    """The Stanley-Reisner ideal: squarefree monomials of the minimal non-faces.
+
+    A minimal non-face is σ ∪ {w} for a face σ and a vertex w, and such a
+    non-face is minimal when each of its one-smaller subsets is a face.
+    """
+    faces = _face_masks(complex_)
     v = complex_.vertex_count
-    if v > MATROID_VERTEX_CAP:
-        raise ResourceCapError(f"non-face scan is exponential; cap is {MATROID_VERTEX_CAP} vertices")
-    facet_sets = [frozenset(f) for f in complex_.facets]
-
-    def is_face(subset: frozenset[int]) -> bool:
-        return any(subset <= f for f in facet_sets)
-
-    gens = []
-    for k in range(1, v + 1):
-        for w in itertools.combinations(range(v), k):
-            ws = frozenset(w)
-            if is_face(ws):
-                continue
-            if all(is_face(ws - {x}) for x in w):
-                e = [0] * v
-                for i in w:
-                    e[i] = 1
-                gens.append(tuple(e))
-    return ex.minimalize(v, gens)
+    minimal = set()
+    for sigma in faces:
+        for w in range(v):
+            tau = sigma | 1 << w
+            if tau not in faces and all(tau ^ 1 << x in faces for x in range(v) if sigma >> x & 1):
+                minimal.add(tau)
+    return ex.minimalize(v, [tuple(tau >> i & 1 for i in range(v)) for tau in minimal])
 
 
 def _wk_thresholds(s: int, ell: int, k: int) -> dict[tuple[int, int], int]:
     """Pair exponents for W_k: ell+2 inside the first k variables, ell+1 across, ell outside."""
-    a = {}
-    for i, j in itertools.combinations(range(s), 2):
-        if j < k:
-            a[(i, j)] = ell + 2
-        elif i < k:
-            a[(i, j)] = ell + 1
-        else:
-            a[(i, j)] = ell
-    return a
+    return {(i, j): ell + (i < k) + (j < k) for i, j in itertools.combinations(range(s), 2)}
+
+
+def check_wk(s: int, ell: int) -> None:
+    """Refuse s < 3 or ell < 1 as usage errors, and an s whose W_k chain checks pass the enum cap."""
+    if s < 3:
+        raise UsageError(f"codimension-2 configurations need s >= 3, got {s}")
+    check_ell(ell)
+    # the chain checks run the Hilbert numerator recursion on W_k, which has no cap of its own;
+    # (ell+3)^s >= 2^s passes the cap once s reaches the cap's bit length, so a huge power is never computed
+    if s >= DEFAULT_ENUM_CAP.bit_length() or (ell + 3) ** s > DEFAULT_ENUM_CAP:
+        raise ResourceCapError(f"W_k is capped at (ell+3)^s <= {DEFAULT_ENUM_CAP}, got {ell + 3}^{s}")
 
 
 def wk_ideal(s: int, ell: int, k: int) -> ex.MonomialIdeal:
@@ -271,14 +289,9 @@ def wk_ideal(s: int, ell: int, k: int) -> ex.MonomialIdeal:
     W_0 is the ell-th symbolic power of the codimension-2 skeleton and W_s the
     (ell+2)-nd; step k raises the exponent of every pair meeting variable k-1.
     """
-    if s < 3:
-        raise UsageError(f"codimension-2 configurations need s >= 3, got {s}")
-    check_ell(ell)
+    check_wk(s, ell)
     if not 0 <= k <= s:
         raise UsageError(f"need 0 <= k <= s, got k={k}")
-    # the chain checks run the Hilbert numerator recursion on W_k, which has no cap of its own
-    if (ell + 3) ** s > DEFAULT_ENUM_CAP:
-        raise ResourceCapError(f"W_k is capped at (ell+3)^s <= {DEFAULT_ENUM_CAP}, got {ell + 3}^{s}")
     return ex.intersect_many(
         ex.power(ex.variable_ideal(s, pair), a) for pair, a in _wk_thresholds(s, ell, k).items()
     )
@@ -294,17 +307,18 @@ def wk_link_monomial(s: int, ell: int, k: int) -> ex.Exponent:
     return tuple((ell + 2 if v < k else 0 if v == k else ell + 1) for v in range(s))
 
 
-def wk_step_check(s: int, ell: int, k: int) -> bool:
+def wk_step_check(s: int, ell: int, k: int, current=None, nxt=None) -> bool:
     """Verify one basic-double-link step of the W chain.
 
     Checks, as monomial-ideal equality, that W_{k+1} is generated by
     x_k * W_k together with the single hypersurface monomial, and that the
-    degree grows by k*(ell+2) + (s-k-1)*(ell+1).
+    degree grows by k*(ell+2) + (s-k-1)*(ell+1).  Pass W_k and W_{k+1} as
+    current and nxt when they are already built; otherwise they are.
     """
     if not 0 <= k < s:
         raise UsageError(f"need 0 <= k < s, got k={k}")
-    current = wk_ideal(s, ell, k)
-    nxt = wk_ideal(s, ell, k + 1)
+    current = wk_ideal(s, ell, k) if current is None else current
+    nxt = wk_ideal(s, ell, k + 1) if nxt is None else nxt
     xk = ex.variable_ideal(s, [k])
     link = ex.MonomialIdeal(s, (wk_link_monomial(s, ell, k),))
     built = ex.ideal_sum(ex.multiply(xk, current), link)
@@ -321,6 +335,7 @@ __all__ = [
     "alpha_symbolic_formula",
     "check_ell",
     "check_lemma_contain",
+    "check_wk",
     "is_matroid",
     "make_complex",
     "omega_symbolic_formula",

@@ -66,6 +66,24 @@ def test_hb_command(capsys):
     assert report["minor_ideal_equals_symbolic_power"]
 
 
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_hb_computes_the_minors_once(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, cli.resolution, "maximal_minors")
+    code, _, _ = run(capsys, ["hb", "--s", "4", "--m", "3"])
+    assert code == 0 and len(calls) == 1
+
+
 def test_decomp_command(capsys):
     code, out, _ = run(capsys, ["decomp", "--s", "4", "--c", "2", "--ell", "2", "--format", "json"])
     assert code == 0
@@ -94,6 +112,20 @@ def test_wk_command(capsys):
     report = json.loads(out)
     assert report["all_steps_verified"]
     assert len(report["steps"]) == 4
+
+
+@pytest.mark.parametrize("k", [None, 0, 2, 4])
+def test_wk_builds_each_ideal_once(capsys, monkeypatch, k):
+    calls = count_calls(monkeypatch, cli.star, "wk_ideal")
+    code, out, _ = run(capsys, ["wk", "--s", "5", "--ell", "1"] + ([] if k is None else ["--k", str(k)]))
+    assert code == 0 and "all_steps_verified: true" in out
+    assert sorted(call[2] for call in calls) == (list(range(6)) if k is None else [k, k + 1])
+
+
+@pytest.mark.parametrize("argv", [["--s", "0"], ["--s", "-3"], ["--s", "5", "--k", "5"], ["--s", "5", "--k", "-1"]])
+def test_wk_bad_parameters_are_usage_errors(capsys, argv):
+    code, out, _ = run(capsys, ["wk", "--ell", "1"] + argv)
+    assert code == 2 and out == ""
 
 
 def test_usage_error_exit_code(capsys):
@@ -130,6 +162,8 @@ def test_betti_14_7_is_checked(capsys):
         ["skeleton", "--s", "2000", "--c", "1999"],
         # about 6.1e8 subsets of forms in the script
         ["export", "--s", "30", "--c", "15", "--ell", "1", "--target", "m2-syntax"],
+        # (ell+3)^s is never evaluated, and no list of s steps is built
+        ["wk", "--s", str(10**400), "--ell", "1"],
     ],
 )
 def test_huge_hvector_is_refused_fast(capsys, argv):

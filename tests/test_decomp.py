@@ -1,6 +1,7 @@
 """Power decompositions, saturation, containment, and resurgence."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, comb, floor
 
 import pytest
@@ -49,6 +50,59 @@ def test_verify_power_decomposition():
     assert decomp.verify_power_decomposition(4, 2, 4, l_cap=4)
 
 
+@lru_cache(maxsize=None)
+def skeleton_power(s, c, r):
+    """I^r as the degree-r(s-c+1) monomials with every exponent <= r (Herzog & Hibi; see symbolic_in_power)."""
+    StarConfig(s, c)  # validate ranges
+    return ex.minimalize(s, ex.compositions(r * (s - c + 1), s, r))
+
+
+@lru_cache(maxsize=None)
+def saturated_power(s, c, ell):
+    return ex.saturate(skeleton_power(s, c, ell), decomp.irrelevant_ideal(s))
+
+
+def generic_verdicts(s, c, ell):
+    """Both identities decided on built ideals: lcm intersections, degree truncation and saturate."""
+    return (
+        ex.equals(skeleton_power(s, c, ell), decomp.rhs_decomposition(s, c, ell)),
+        ex.equals(saturated_power(s, c, ell), decomp._symbolic_intersection(s, c, ell)),
+    )
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_verdicts_match_generic_path(s):
+    for c in range(1, s):
+        for ell in (1, 2, 3):
+            verdicts = (decomp.verify_power_decomposition(s, c, ell), decomp.verify_saturation(s, c, ell))
+            assert verdicts == generic_verdicts(s, c, ell) == (True, True), (s, c, ell)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_box_memberships_match_built_ideals(data):
+    s = data.draw(st.integers(2, 5))
+    c = data.draw(st.integers(1, s - 1))
+    ell = data.draw(st.integers(1, 3))
+    d = s - c + 1
+    a = tuple(sorted(data.draw(st.lists(st.integers(0, d * ell), min_size=s, max_size=s))))
+    built = (
+        skeleton_power(s, c, ell),
+        decomp._symbolic_intersection(s, c, ell),
+        decomp.irrelevant_power(s, d * ell),
+        saturated_power(s, c, ell),
+    )
+    assert decomp._box_memberships(a, c, ell) == tuple(ex.member(a, ideal) for ideal in built)
+
+
+def test_decomp_refuses_a_scan_past_the_enum_cap():
+    # the s and ell caps raised, but C(d*ell + s, s) tuples would be scanned
+    with pytest.raises(ResourceCapError):
+        decomp.verify_saturation(12, 2, 4, s_cap=12, l_cap=4)
+    with pytest.raises(UsageError):
+        decomp.verify_power_decomposition(4, 2, 0)
+
+
 def test_verify_saturation():
     assert decomp.verify_saturation(4, 2, 2)
     assert decomp.verify_saturation(4, 3, 2)  # c = N: saturation is the symbolic power
@@ -87,7 +141,7 @@ def test_skeleton_power_matches_repeated_multiply(data):
     s = data.draw(st.integers(2, 6))
     c = data.draw(st.integers(1, s - 1))
     r = data.draw(st.integers(1, 4))
-    assert ex.equals(decomp._skeleton_power(s, c, r), ex.power(skeleton_ideal(StarConfig(s, c)), r))
+    assert ex.equals(skeleton_power(s, c, r), ex.power(skeleton_ideal(StarConfig(s, c)), r))
 
 
 def test_symbolic_in_symbolic_iff_m_ge_r():

@@ -8,7 +8,7 @@ import pytest
 
 from starconfig import exponents as ex
 from starconfig import hilbert, resolution
-from starconfig.errors import ResourceCapError, UsageError
+from starconfig.errors import ResourceCapError, TheoremViolation, UsageError
 from starconfig.resolution import SparsePoly, SymbolicMatrix
 from starconfig.star import StarConfig, skeleton_ideal, symbolic_power
 
@@ -203,6 +203,17 @@ def test_verify_hb_small():
     assert resolution.verify_hb(3, 2)
     assert resolution.verify_hb(3, 3)
     assert resolution.verify_hb(4, 2)
+
+
+def test_verify_hb_with_given_minors():
+    for s, m in [(3, 4), (4, 3)]:
+        minors = resolution.maximal_minors(resolution.hb_matrix(s, m))
+        assert resolution.verify_hb(s, m, minors)
+        # minors of another matrix generate another ideal
+        assert not resolution.verify_hb(s, m, resolution.maximal_minors(resolution.hb_matrix(s, m + 1)))
+    two_terms = SparsePoly.variable(3, 0) + SparsePoly.variable(3, 1)
+    with pytest.raises(TheoremViolation):
+        resolution.verify_hb(3, 2, [two_terms])
 
 
 def test_maximal_minors_shape_check():

@@ -39,6 +39,80 @@ def brute_wk_ideal(s, ell, k):
     return ex.minimalize(s, [t for t in itertools.product(range(ell + 3), repeat=s) if is_member(t)])
 
 
+def scan_is_matroid(complex_):
+    """Every restriction to a vertex subset is pure: a scan over all 2^v subsets."""
+    facet_sets = [frozenset(f) for f in complex_.facets]
+    for k in range(complex_.vertex_count + 1):
+        for w in itertools.combinations(range(complex_.vertex_count), k):
+            restricted = {f & frozenset(w) for f in facet_sets}
+            maximal = [f for f in restricted if not any(f < g for g in restricted)]
+            if len({len(f) for f in maximal}) > 1:
+                return False
+    return True
+
+
+def scan_stanley_reisner_ideal(complex_):
+    """The non-faces all of whose one-smaller subsets are faces, by a scan over all vertex subsets."""
+    v = complex_.vertex_count
+    facet_sets = [frozenset(f) for f in complex_.facets]
+
+    def is_face(subset):
+        return any(subset <= f for f in facet_sets)
+
+    gens = [
+        tuple(int(i in w) for i in range(v))
+        for k in range(1, v + 1)
+        for w in itertools.combinations(range(v), k)
+        if not is_face(frozenset(w)) and all(is_face(frozenset(w) - {x}) for x in w)
+    ]
+    return ex.minimalize(v, gens)
+
+
+@st.composite
+def complexes(draw):
+    """Random complexes on at most 7 vertices, with no, one or several facets.
+
+    Half of them keep a random part of all k-subsets (a uniform matroid, or
+    one with some bases dropped), so matroids and non-matroids both occur.
+    """
+    v = draw(st.integers(1, 7))
+    subsets = st.lists(st.integers(0, v - 1), unique=True).map(lambda f: tuple(sorted(f)))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, v))
+        all_k = list(itertools.combinations(range(v), k))
+        facets = draw(st.lists(st.sampled_from(all_k), max_size=len(all_k)))
+        if draw(st.booleans()):
+            facets = all_k
+    else:
+        facets = draw(st.lists(subsets, max_size=6))
+    return star.make_complex(v, facets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complexes())
+def test_is_matroid_matches_subset_scan(complex_):
+    assert star.is_matroid(complex_) == scan_is_matroid(complex_)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complexes())
+def test_stanley_reisner_ideal_matches_subset_scan(complex_):
+    assert star.stanley_reisner_ideal(complex_) == scan_stanley_reisner_ideal(complex_)
+
+
+def test_face_set_edge_cases():
+    for v in range(1, 5):
+        void = star.make_complex(v, [])  # no faces at all
+        assert star.is_matroid(void)
+        assert star.stanley_reisner_ideal(void) == scan_stanley_reisner_ideal(void)
+        empty_face = star.make_complex(v, [()])  # only the empty face: every vertex is a non-face
+        assert star.is_matroid(empty_face)
+        assert star.stanley_reisner_ideal(empty_face) == ex.variable_ideal(v, range(v))
+        simplex = star.make_complex(v, [tuple(range(v))])
+        assert star.is_matroid(simplex)
+        assert star.stanley_reisner_ideal(simplex).is_zero
+
+
 def test_star_config_validation():
     StarConfig(4, 2)
     with pytest.raises(UsageError):
