@@ -1,4 +1,4 @@
-"""Command-line surface: structured reports and computer-algebra script export.
+"""Command-line surface: structured reports, their rendering, and dispatch.
 
 Every command builds a plain-dict report and renders it as text, json, or csv
 (csv for grid scans only).  Reports are byte-deterministic: identical inputs
@@ -11,24 +11,21 @@ Exit codes: 0 computed/verified, 1 theorem check failed (witness printed),
 Environment variables override default caps: STARCONFIG_ENUM_CAP (symbolic
 power enumeration), STARCONFIG_DEGREE_CAP (h-vector degree cap),
 STARCONFIG_POWER_CAP (ordinary-power exponent cap in containment commands).
+
+Each command imports the library modules it runs when it runs, and calls
+them as module attributes, so a process loads only what its command needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
-from fractions import Fraction
-from itertools import combinations
-from math import comb
+from math import gcd
 
-from . import decomp, exponents as ex, hilbert, resolution, star
 from .errors import ResourceCapError, TheoremViolation, UsageError
-
-monomial_str = ex.monomial_str
 
 
 def _positive_int(text: str) -> int:
@@ -56,11 +53,15 @@ def _env_cap(name: str) -> int | None:
         raise UsageError(f"{name} {exc}") from None
 
 
-def _frac_str(q: Fraction | None) -> str | None:
+def _frac_str(q) -> str | None:
+    """A Fraction as "num/den", None as None."""
     return None if q is None else f"{q.numerator}/{q.denominator}"
 
 
-def _ideal_summary(ideal: ex.MonomialIdeal, list_gens: bool = True) -> dict:
+def _ideal_summary(ideal, list_gens: bool = True) -> dict:
+    """Arity, generator count, alpha/omega and optionally the generators of a MonomialIdeal."""
+    from . import exponents as ex
+
     out = {
         "arity": ideal.arity,
         "generator_count": len(ideal.gens),
@@ -69,7 +70,7 @@ def _ideal_summary(ideal: ex.MonomialIdeal, list_gens: bool = True) -> dict:
         out["alpha"] = ex.alpha(ideal)
         out["omega"] = ex.omega(ideal)
     if list_gens:
-        out["generators"] = [monomial_str(g) for g in ideal.gens]
+        out["generators"] = [ex.monomial_str(g) for g in ideal.gens]
         out["exponents"] = [list(g) for g in ideal.gens]
     return out
 
@@ -79,6 +80,8 @@ def _ideal_summary(ideal: ex.MonomialIdeal, list_gens: bool = True) -> dict:
 
 
 def _cmd_skeleton(args) -> tuple[dict, int]:
+    from . import exponents as ex, hilbert, star
+
     cfg = star.StarConfig(args.s, args.c)
     # first, so that the closed form's work check refuses a huge skeleton before it is built
     hv = hilbert.symbolic_h_vector(cfg, 1, d_cap=args.degree_cap)
@@ -99,6 +102,8 @@ def _cmd_skeleton(args) -> tuple[dict, int]:
 
 
 def _cmd_symbolic(args) -> tuple[dict, int]:
+    from . import exponents as ex, star
+
     cfg = star.StarConfig(args.s, args.c)
     cap = star.DEFAULT_ENUM_CAP if args.enum_cap is None else args.enum_cap
     ideal = star.symbolic_power(cfg, args.ell, enum_cap=cap)
@@ -120,6 +125,8 @@ def _cmd_symbolic(args) -> tuple[dict, int]:
 
 
 def _cmd_hvector(args) -> tuple[dict, int]:
+    from . import hilbert, star
+
     cfg = star.StarConfig(args.s, args.c)
     hv = hilbert.symbolic_h_vector(cfg, args.ell, d_cap=args.degree_cap)
     report = {
@@ -138,6 +145,8 @@ def _cmd_hvector(args) -> tuple[dict, int]:
 
 
 def _cmd_betti(args) -> tuple[dict, int]:
+    from . import hilbert, resolution, star
+
     shape = resolution.ss_resolution(args.s, args.c)
     numerator = hilbert.symbolic_numerator(star.StarConfig(args.s, args.c), 2)
     euler_ok = resolution.shape_numerator(shape) == numerator
@@ -155,6 +164,8 @@ def _cmd_betti(args) -> tuple[dict, int]:
 
 
 def _cmd_hb(args) -> tuple[dict, int]:
+    from . import resolution
+
     matrix = resolution.hb_matrix(args.s, args.m)
     minors = resolution.maximal_minors(matrix)
     verified = resolution.verify_hb(args.s, args.m, minors)
@@ -171,14 +182,16 @@ def _cmd_hb(args) -> tuple[dict, int]:
 
 
 def _cmd_decomp(args) -> tuple[dict, int]:
-    power_ok = decomp.verify_power_decomposition(
-        args.s, args.c, args.ell, s_cap=args.s_cap, l_cap=args.l_cap
-    )
-    sat_ok = decomp.verify_saturation(args.s, args.c, args.ell, s_cap=args.s_cap, l_cap=args.l_cap)
+    from . import decomp
+
+    s_cap = decomp.DECOMP_S_CAP if args.s_cap is None else args.s_cap
+    l_cap = decomp.DECOMP_L_CAP if args.l_cap is None else args.l_cap
+    power_ok = decomp.verify_power_decomposition(args.s, args.c, args.ell, s_cap=s_cap, l_cap=l_cap)
+    sat_ok = decomp.verify_saturation(args.s, args.c, args.ell, s_cap=s_cap, l_cap=l_cap)
     report = {
         "command": "decomp",
         "params": {"s": args.s, "c": args.c, "ell": args.ell},
-        "caps": {"s_cap": args.s_cap, "l_cap": args.l_cap},
+        "caps": {"s_cap": s_cap, "l_cap": l_cap},
         "power_decomposition": power_ok,
         "saturation_identity": sat_ok,
     }
@@ -186,6 +199,8 @@ def _cmd_decomp(args) -> tuple[dict, int]:
 
 
 def _cmd_containment(args) -> tuple[dict, int]:
+    from . import decomp
+
     contained = decomp.symbolic_in_power(args.s, args.c, args.m, args.r, r_cap=args.power_cap)
     report = {
         "command": "containment",
@@ -202,6 +217,8 @@ def _cmd_containment(args) -> tuple[dict, int]:
 
 
 def _cmd_scan(args) -> tuple[dict, int]:
+    from . import decomp
+
     rep = decomp.resurgence_scan(args.s, args.c, args.mmax, args.rmax, r_cap=args.power_cap)
     report = {
         "command": "scan",
@@ -219,6 +236,8 @@ def _cmd_scan(args) -> tuple[dict, int]:
 
 
 def _cmd_matroid(args) -> tuple[dict, int]:
+    from . import exponents as ex, star
+
     cfg = star.StarConfig(args.s, args.c)
     complex_ = star.skeleton_complex(cfg)
     matroid_ok = star.is_matroid(complex_)
@@ -235,6 +254,8 @@ def _cmd_matroid(args) -> tuple[dict, int]:
 
 
 def _cmd_wk(args) -> tuple[dict, int]:
+    from . import exponents as ex, hilbert, star
+
     s, ell = args.s, args.ell
     star.check_wk(s, ell)  # before anything is listed, so a huge s is refused
     if args.k is not None and not 0 <= args.k < s:
@@ -269,12 +290,10 @@ def _cmd_wk(args) -> tuple[dict, int]:
 
 
 def _cmd_export(args) -> tuple[dict, int]:
-    if args.forms:
-        forms = parse_forms(args.forms)
-    else:
-        # monomial model: the s coordinate hyperplanes of P^{s-1}
-        forms = [tuple(Fraction(1 if j == i else 0) for j in range(args.s)) for i in range(args.s)]
-    script = export_cas(args.s, args.c, args.ell, args.target, forms)
+    from . import export
+
+    forms = export.parse_forms(args.forms) if args.forms else export.coordinate_forms(args.s)
+    script = export.export_cas(args.s, args.c, args.ell, args.target, forms)
     report = {
         "command": "export",
         "params": {"s": args.s, "c": args.c, "ell": args.ell, "target": args.target},
@@ -282,133 +301,6 @@ def _cmd_export(args) -> tuple[dict, int]:
         "script": script,
     }
     return report, 0
-
-
-# ---------------------------------------------------------------------------
-# CAS export
-
-
-def parse_forms(text: str) -> list[tuple[Fraction, ...]]:
-    """Parse ``a,b,c;d,e,f;...`` into coefficient tuples (exact rationals)."""
-    forms = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise UsageError("empty linear form in --forms")
-        try:
-            coeffs = tuple(Fraction(p.strip()) for p in chunk.split(","))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"malformed coefficient in {chunk!r}: {exc}") from None
-        forms.append(coeffs)
-    widths = {len(f) for f in forms}
-    if len(widths) != 1:
-        raise UsageError(f"linear forms have inconsistent lengths {sorted(widths)}")
-    if all(all(x == 0 for x in f) for f in forms):
-        raise UsageError("all forms are zero")
-    return forms
-
-
-def _pairwise_dependent(forms: list[tuple[Fraction, ...]]) -> list[tuple[int, int]]:
-    # a pair is dependent iff its 2 x (n+1) matrix has rank < 2: all its 2x2 minors vanish
-    return [
-        (i, j)
-        for (i, a), (j, b) in combinations(enumerate(forms), 2)
-        if all(a[p] * b[q] == a[q] * b[p] for p, q in combinations(range(len(a)), 2))
-    ]
-
-
-def _coeff_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _form_str(coeffs: tuple[Fraction, ...]) -> str:
-    parts = []
-    for i, a in enumerate(coeffs):
-        if a == 0:
-            continue
-        if a == 1:
-            parts.append(f"x{i}")
-        else:
-            parts.append(f"({_coeff_str(a)})*x{i}")
-    return " + ".join(parts) if parts else "0"
-
-
-def export_cas(
-    s: int, c: int, ell: int, target: str, forms: list[tuple[Fraction, ...]]
-) -> str:
-    """Emit a script for an external computer-algebra system.
-
-    The script builds the codimension-c configuration ideal of the given
-    hyperplanes over the rationals, its ell-th power, and the conjectured
-    intersection of symbolic powers, and prints whether they are equal.
-    The number of variables is the length of the coefficient tuples; the
-    forms must number s > n.
-    """
-    if target not in ("m2-syntax", "singular-syntax"):
-        raise UsageError(f"unknown export target {target!r}")
-    if len(forms) != s:
-        raise UsageError(f"expected {s} linear forms, got {len(forms)}")
-    star.check_ell(ell)
-    n = len(forms[0]) - 1
-    if n < 1:
-        raise UsageError("forms must have at least 2 coefficients")
-    if s <= n:
-        raise UsageError(f"the configuration needs s > n, got s={s}, n={n}")
-    star.StarConfig(s, c)  # range validation for c
-    if c > n:
-        raise UsageError(f"codimension c={c} exceeds the ambient dimension n={n}")
-    listed = sum(comb(s, k) for k in range(c, n + 1))
-    if listed > star.DEFAULT_ENUM_CAP:
-        raise ResourceCapError(f"the script lists {listed} subsets of forms, cap is {star.DEFAULT_ENUM_CAP}")
-    m_exp = (s - c + 1) * ell
-    m2 = target == "m2-syntax"
-    comment = "--" if m2 else "//"
-    variables = [f"x{i}" for i in range(n + 1)]
-    lines = [
-        f"{comment} codimension {c} configuration of {s} hyperplanes in P^{n}",
-        f"{comment} checks the power decomposition for l = {ell}",
-        *(
-            f"{comment} WARNING: forms {i} and {j} are proportional; the arrangement does not meet properly"
-            for i, j in _pairwise_dependent(forms)
-        ),
-        f"R = QQ[{','.join(variables)}];" if m2 else f"ring R = 0, ({','.join(variables)}), dp;",
-        *(f"{'' if m2 else 'poly '}L{i} = {_form_str(f)};" for i, f in enumerate(forms)),
-    ]
-    terms = ", ".join(f"T{j}" for j in range(n - c + 1))
-
-    def subsets(size):
-        return [", ".join(f"L{i}" for i in sub) for sub in combinations(range(s), size)]
-
-    if m2:
-        lines.append(f"Ipow = (intersect({', '.join(f'ideal({g})' for g in subsets(c))}))^{ell};")
-        for j in range(n - c + 1):
-            powers = ", ".join(f"(ideal({g}))^{(j + 1) * ell}" for g in subsets(c + j))
-            lines.append(f"T{j} = intersect({powers});")
-        lines += [
-            f"Mpow = (ideal({', '.join(variables)}))^{m_exp};",
-            f"RHS = intersect({terms}, Mpow);",
-            "print(Ipow == RHS);",
-        ]
-    else:
-        components = subsets(c)
-        lines += [f"ideal C{k} = {g};" for k, g in enumerate(components)]
-        lines.append(f"ideal I = intersect({', '.join(f'C{k}' for k in range(len(components)))});")
-        lines.append(f"ideal Ipow = I^{ell};")
-        for j in range(n - c + 1):
-            primes = subsets(c + j)
-            lines += [f"ideal P{j}_{k} = {g};" for k, g in enumerate(primes)]
-            powers = ", ".join(f"P{j}_{k}^{(j + 1) * ell}" for k in range(len(primes)))
-            lines.append(f"ideal T{j} = intersect({powers});")
-        lines += [
-            f"ideal M = {', '.join(variables)};",
-            f"ideal RHS = intersect({terms}, M^{m_exp});",
-            "ideal sIpow = std(Ipow);",
-            "ideal sRHS = std(RHS);",
-            "int equal = (size(reduce(Ipow, sRHS)) == 0) && (size(reduce(RHS, sIpow)) == 0);",
-            'printf("%s", equal);',
-            "exit;",
-        ]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +348,15 @@ def _scalar(value) -> str:
 def _render_csv(report: dict) -> str:
     if report.get("command") != "scan":
         raise UsageError("csv output is only defined for the scan command")
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["m", "r", "contained", "ratio_num", "ratio_den"])
     for entry in report["entries"]:
-        ratio = Fraction(entry["m"], entry["r"])
-        writer.writerow(
-            [entry["m"], entry["r"], str(entry["contained"]).lower(), ratio.numerator, ratio.denominator]
-        )
+        m, r = entry["m"], entry["r"]
+        g = gcd(m, r)  # m/r in lowest terms
+        writer.writerow([m, r, str(entry["contained"]).lower(), m // g, r // g])
     return buf.getvalue()
 
 
@@ -513,8 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("hb", "determinantal matrix, its maximal minors, and the minor-ideal check", "m")
 
     p = add("decomp", "power decomposition and saturation identity", "c", "ell")
-    p.add_argument("--s-cap", type=_positive_int, default=decomp.DECOMP_S_CAP)
-    p.add_argument("--l-cap", type=_positive_int, default=decomp.DECOMP_L_CAP)
+    # None means decomp's default caps, read in _cmd_decomp so that parsing imports no library module
+    p.add_argument("--s-cap", type=_positive_int)
+    p.add_argument("--l-cap", type=_positive_int)
 
     p = add("containment", "single symbolic-vs-ordinary power containment", "c", "m", "r")
     p.add_argument("--power-cap", type=_positive_int, default=_env_cap("STARCONFIG_POWER_CAP"))

@@ -13,7 +13,6 @@ decision path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
@@ -22,6 +21,7 @@ from math import comb
 from . import exponents as ex
 from . import star
 from .errors import ResourceCapError, TheoremViolation, UsageError
+from .record import Record
 
 # Ordinary powers blow up with the number of variables; these are the
 # default caps on the power exponent r, overridable per call.
@@ -190,8 +190,7 @@ def rho_exact(s: int, c: int) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
-class ContainmentReport:
+class ContainmentReport(Record):
     """Grid of containment results with the empirical ratio supremum and known bounds."""
 
     s: int

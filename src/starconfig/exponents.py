@@ -17,10 +17,10 @@ every binary operation; there is no implicit broadcasting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import UsageError
+from .record import Record
 
 Exponent = tuple[int, ...]
 
@@ -43,8 +43,7 @@ def _check_exponent(t: Exponent, arity: int) -> None:
         raise UsageError(f"exponent tuple {t} has a negative entry")
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """A monomial ideal: arity plus its canonical minimal generating antichain.
 
     Construct through :func:`minimalize` (or the convenience constructors
@@ -55,7 +54,7 @@ class MonomialIdeal:
     arity: int
     gens: tuple[Exponent, ...]
 
-    def __post_init__(self):
+    def _validate(self):
         if self.arity < 1:
             raise UsageError(f"arity must be positive, got {self.arity}")
         for g in self.gens:

@@ -17,17 +17,16 @@ generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, lgamma, log
 
 from . import exponents as ex
 from . import star
 from .errors import ResourceCapError, UsageError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class HVector:
+class HVector(Record):
     """An h-vector: the (s-c)-th difference of a Hilbert function, trailing zeros trimmed."""
 
     entries: tuple[int, ...]
@@ -125,7 +124,9 @@ def h_vector(ideal: ex.MonomialIdeal, c: int, d_cap: int | None = None) -> HVect
     stabilizes at zero exactly when (1-t)^c divides the numerator, and the
     entries are the quotient coefficients.  A non-stabilizing sequence (the
     ideal does not define codimension c) or an h-vector past the degree cap
-    raises ResourceCapError.
+    raises ResourceCapError.  This runs the pivot recursion on the built
+    ideal; for a skeleton symbolic power call symbolic_h_vector, which
+    builds no ideal.
     """
     s = ideal.arity
     if not 1 <= c <= s:
@@ -281,7 +282,11 @@ def ss_hvector_formula(s: int, c: int) -> HVector:
 
 
 def degree(ideal: ex.MonomialIdeal, c: int) -> int:
-    """The scheme degree: sum of h-vector entries (the ideal must be unmixed of codimension c)."""
+    """The scheme degree: sum of h-vector entries (the ideal must be unmixed of codimension c).
+
+    For a skeleton symbolic power, symbolic_h_vector(cfg, ell).total() gives
+    it without building the ideal.
+    """
     return h_vector(ideal, c).total()
 
 

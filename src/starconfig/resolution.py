@@ -11,19 +11,18 @@ monomial family and the symbolic power itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from . import exponents as ex
 from . import hilbert, star
 from .errors import ResourceCapError, TheoremViolation, UsageError
+from .record import Record
 
 # Hard cap on exact determinant size; larger requests get a resource error.
 DET_DIMENSION_CAP = 16
 
 
-@dataclass(frozen=True)
-class SparsePoly:
+class SparsePoly(Record):
     """A multivariate polynomial with integer coefficients.
 
     Terms map exponent tuples to nonzero coefficients, stored sorted in
@@ -108,15 +107,14 @@ class SparsePoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-@dataclass(frozen=True)
-class SymbolicMatrix:
+class SymbolicMatrix(Record):
     """A dense rectangular matrix of SparsePoly entries over a common arity."""
 
     rows: int
     cols: int
     entries: tuple[tuple[SparsePoly, ...], ...]
 
-    def __post_init__(self):
+    def _validate(self):
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise UsageError("entry grid does not match the declared dimensions")
 
@@ -124,8 +122,7 @@ class SymbolicMatrix:
         return self.entries[i][j]
 
 
-@dataclass(frozen=True)
-class ResolutionShape:
+class ResolutionShape(Record):
     """Per homological index i >= 1, the (twist, rank) pairs of the free module F_i."""
 
     modules: tuple[tuple[tuple[int, int], ...], ...]

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 from . import exponents as ex
 from .errors import ResourceCapError, UsageError
+from .record import Record
 
 # Cap on the exponent entries of the shapes and generators listed by enumeration ops.
 DEFAULT_ENUM_CAP = 5_000_000
@@ -34,8 +34,7 @@ def check_ell(ell: int) -> None:
         raise UsageError(f"need ell >= 1, got {ell}")
 
 
-@dataclass(frozen=True)
-class StarConfig:
+class StarConfig(Record):
     """Parameters of a skeleton in the monomial model P^{s-1}.
 
     s is the number of hyperplanes (= number of variables), c the codimension.
@@ -44,21 +43,20 @@ class StarConfig:
     s: int
     c: int
 
-    def __post_init__(self):
+    def _validate(self):
         if self.s < 2:
             raise UsageError(f"need at least 2 hyperplanes, got s={self.s}")
         if not 1 <= self.c <= self.s - 1:
             raise UsageError(f"codimension must satisfy 1 <= c <= s-1, got c={self.c}, s={self.s}")
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """A simplicial complex given by its facets (an antichain of vertex subsets)."""
 
     vertex_count: int
     facets: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def _validate(self):
         for f in self.facets:
             if any(not 0 <= v < self.vertex_count for v in f):
                 raise UsageError(f"facet {f} has a vertex outside 0..{self.vertex_count - 1}")
@@ -208,8 +206,12 @@ def skeleton_complex(cfg: StarConfig) -> SimplicialComplex:
     return SimplicialComplex(cfg.s, facets)
 
 
-def _face_masks(complex_: SimplicialComplex) -> set[int]:
-    """Every face of the complex as a vertex bitmask: the submasks of its facets."""
+@lru_cache(maxsize=8)
+def _face_masks(complex_: SimplicialComplex) -> frozenset[int]:
+    """Every face of the complex as a vertex bitmask: the submasks of its facets.
+
+    Cached per complex, so is_matroid and stanley_reisner_ideal share one build.
+    """
     v = complex_.vertex_count
     if v > MATROID_VERTEX_CAP:
         raise ResourceCapError(f"face-set checks are capped at {MATROID_VERTEX_CAP} vertices, got {v}")
@@ -221,7 +223,7 @@ def _face_masks(complex_: SimplicialComplex) -> set[int]:
             if not sub:
                 break
             sub = (sub - 1) & top
-    return faces
+    return frozenset(faces)
 
 
 def is_matroid(complex_: SimplicialComplex) -> bool:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cli_cases import GOLDEN_COMMANDS
-from starconfig import cli
+from starconfig import cli, decomp, resolution, star
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -79,7 +79,7 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_hb_computes_the_minors_once(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, cli.resolution, "maximal_minors")
+    calls = count_calls(monkeypatch, resolution, "maximal_minors")
     code, _, _ = run(capsys, ["hb", "--s", "4", "--m", "3"])
     assert code == 0 and len(calls) == 1
 
@@ -106,6 +106,16 @@ def test_matroid_command(capsys):
     assert report["is_matroid"] and report["stanley_reisner_matches_skeleton"]
 
 
+def test_matroid_builds_the_faces_once(capsys, monkeypatch):
+    faces = star._face_masks
+    faces.cache_clear()
+    calls = count_calls(monkeypatch, star, "_face_masks")
+    code, out, _ = run(capsys, ["matroid", "--s", "6", "--c", "3"])
+    assert code == 0 and "stanley_reisner_matches_skeleton: true" in out
+    # both checks read the face set; the cache under the counted name builds it once
+    assert len(calls) == 2 and faces.cache_info().misses == 1
+
+
 def test_wk_command(capsys):
     code, out, _ = run(capsys, ["wk", "--s", "4", "--ell", "1", "--format", "json"])
     assert code == 0
@@ -116,7 +126,7 @@ def test_wk_command(capsys):
 
 @pytest.mark.parametrize("k", [None, 0, 2, 4])
 def test_wk_builds_each_ideal_once(capsys, monkeypatch, k):
-    calls = count_calls(monkeypatch, cli.star, "wk_ideal")
+    calls = count_calls(monkeypatch, star, "wk_ideal")
     code, out, _ = run(capsys, ["wk", "--s", "5", "--ell", "1"] + ([] if k is None else ["--k", str(k)]))
     assert code == 0 and "all_steps_verified: true" in out
     assert sorted(call[2] for call in calls) == (list(range(6)) if k is None else [k, k + 1])
@@ -208,22 +218,32 @@ def test_exhausted_resource_is_exit_3(capsys, monkeypatch, exc):
     def boom(*args, **kwargs):
         raise exc()
 
-    monkeypatch.setattr(cli.decomp, "verify_power_decomposition", boom)
+    monkeypatch.setattr(decomp, "verify_power_decomposition", boom)
     code, out, err = run(capsys, ["decomp", "--s", "4", "--c", "2", "--ell", "2"])
     assert code == 3 and out == ""
     assert err.startswith(f"error (resource-cap): {exc.__name__}")
 
 
+# what a CLI process must not load: on importing the CLI, and over a whole hvector run
+IMPORT_LEAVES_OUT = ("numpy", "dataclasses", "inspect", "fractions", "starconfig.decomp", "starconfig.resolution")
+HVECTOR_LEAVES_OUT = ("dataclasses", "inspect", "fractions", "starconfig.decomp")
+
+
 def test_cli_import_leaves_numpy_out():
-    # a fresh interpreter: this one may have imported numpy for other reasons
+    # a fresh interpreter: this one may have imported these modules for other reasons
     src = Path(cli.__file__).resolve().parent.parent
-    probe = "import sys, starconfig.cli; print('numpy' in sys.modules)"
+    probe = (
+        "import os, sys, starconfig.cli\n"
+        f"print(sorted(set({IMPORT_LEAVES_OUT!r}) & set(sys.modules)))\n"
+        "code = starconfig.cli.main(['hvector', '--s', '6', '--c', '3', '--ell', '2', '--output', os.devnull])\n"
+        f"print(code, sorted(set({HVECTOR_LEAVES_OUT!r}) & set(sys.modules)))\n"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=60, check=True,
     )
-    assert done.stdout == "False\n"
+    assert done.stdout == "[]\n0 []\n"
 
 
 def test_theorem_violation_exit_code(capsys, monkeypatch):
@@ -232,14 +252,14 @@ def test_theorem_violation_exit_code(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise TheoremViolation("witness: fabricated for the exit-code path")
 
-    monkeypatch.setattr(cli.decomp, "verify_power_decomposition", boom)
+    monkeypatch.setattr(decomp, "verify_power_decomposition", boom)
     code, _, err = run(capsys, ["decomp", "--s", "4", "--c", "2", "--ell", "2"])
     assert code == 1
     assert "witness" in err
 
 
 def test_failed_check_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(cli.decomp, "verify_power_decomposition", lambda *a, **k: False)
+    monkeypatch.setattr(decomp, "verify_power_decomposition", lambda *a, **k: False)
     code, out, _ = run(capsys, ["decomp", "--s", "4", "--c", "2", "--ell", "2", "--format", "json"])
     assert code == 1
     assert json.loads(out)["failure_reason"]
