@@ -85,7 +85,6 @@ _EXPORTS = {
         "resurgence_scan",
         "rhs_decomposition",
         "rho_exact",
-        "rho_lower_bound",
         "symbolic_in_power",
         "verify_power_decomposition",
         "verify_saturation",

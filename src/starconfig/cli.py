@@ -228,7 +228,7 @@ def _cmd_scan(args) -> tuple[dict, int]:
             {"m": m, "r": r, "contained": contained} for m, r, contained in rep.entries
         ],
         "empirical_sup": _frac_str(rep.empirical_sup),
-        "lower_bound": _frac_str(rep.lower_bound),
+        "lower_bound": _frac_str(rep.rho),  # the bound c(s-c+1)/s is the resurgence itself
         "rho_exact": _frac_str(rep.rho),
         "criterion_mismatches": [list(p) for p in rep.criterion_mismatches],
     }

@@ -99,6 +99,24 @@ def test_containment_command(capsys):
     assert report["criterion_agrees"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, rho",
+    [
+        # past the symbolic_shapes entry cap the old shape test stopped at; the alpha rule enumerates nothing
+        (["scan", "--s", "12", "--c", "5", "--mmax", "60", "--rmax", "30", "--power-cap", "30"], (10, 3)),
+        (["scan", "--s", "6", "--c", "3", "--mmax", "6", "--rmax", "3"], (2, 1)),
+    ],
+)
+def test_scan_reports_rho_for_every_codimension(capsys, argv, rho):
+    start = time.monotonic()
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0 and time.monotonic() - start < 5
+    report = json.loads(out)
+    assert report["rho_exact"] == report["lower_bound"] == f"{rho[0]}/{rho[1]}"
+    num, den = map(int, report["empirical_sup"].split("/"))
+    assert num * rho[1] < rho[0] * den  # the supremum is not attained
+
+
 def test_matroid_command(capsys):
     code, out, _ = run(capsys, ["matroid", "--s", "6", "--c", "3", "--format", "json"])
     assert code == 0
@@ -224,9 +242,10 @@ def test_exhausted_resource_is_exit_3(capsys, monkeypatch, exc):
     assert err.startswith(f"error (resource-cap): {exc.__name__}")
 
 
-# what a CLI process must not load: on importing the CLI, and over a whole hvector run
+# what a CLI process must not load: on importing the CLI, over a whole hvector run, then a decomp run
 IMPORT_LEAVES_OUT = ("numpy", "dataclasses", "inspect", "fractions", "starconfig.decomp", "starconfig.resolution")
 HVECTOR_LEAVES_OUT = ("dataclasses", "inspect", "fractions", "starconfig.decomp")
+DECOMP_LEAVES_OUT = ("fractions", "decimal")  # the resurgence half of decomp imports them when it runs
 
 
 def test_cli_import_leaves_numpy_out():
@@ -237,13 +256,15 @@ def test_cli_import_leaves_numpy_out():
         f"print(sorted(set({IMPORT_LEAVES_OUT!r}) & set(sys.modules)))\n"
         "code = starconfig.cli.main(['hvector', '--s', '6', '--c', '3', '--ell', '2', '--output', os.devnull])\n"
         f"print(code, sorted(set({HVECTOR_LEAVES_OUT!r}) & set(sys.modules)))\n"
+        "code = starconfig.cli.main(['decomp', '--s', '5', '--c', '3', '--ell', '3', '--output', os.devnull])\n"
+        f"print(code, sorted(set({DECOMP_LEAVES_OUT!r}) & set(sys.modules)))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=60, check=True,
     )
-    assert done.stdout == "[]\n0 []\n"
+    assert done.stdout == "[]\n0 []\n0 []\n"
 
 
 def test_theorem_violation_exit_code(capsys, monkeypatch):

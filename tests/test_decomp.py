@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from starconfig import decomp, exponents as ex
 from starconfig.errors import ResourceCapError, UsageError
-from starconfig.star import StarConfig, skeleton_ideal, symbolic_power
+from starconfig.star import StarConfig, skeleton_ideal, symbolic_power, symbolic_shapes
 
 
 def exact_noncontainment(n_dim, m, r):
@@ -124,6 +124,27 @@ def test_symbolic_in_power_basics():
         decomp.symbolic_in_power(5, 3, 2, 6)  # default cap for s=5 is 5
 
 
+def shape_in_power(s, c, m, r):
+    """I^(m) in I^r by its generator shapes: each t needs sum(min(t_i, r)) >= r(s-c+1) (Herzog & Hibi)."""
+    need = r * (s - c + 1)
+    return all(sum(min(e, r) for e in t) >= need for t in symbolic_shapes(StarConfig(s, c), m))
+
+
+def test_symbolic_in_power_matches_shape_oracle():
+    checked = 0
+    for s in range(2, 10):
+        for c in range(1, s):
+            for m in range(1, 25):
+                try:
+                    symbolic_shapes(StarConfig(s, c), m)
+                except ResourceCapError:
+                    continue  # past the oracle's enumeration cap
+                for r in range(1, 13):
+                    assert decomp.symbolic_in_power(s, c, m, r, r_cap=12) == shape_in_power(s, c, m, r), (s, c, m, r)
+                    checked += 1
+    assert checked > 10_000
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_symbolic_in_power_matches_contains_oracle(data):
@@ -162,6 +183,14 @@ def test_criterion_examples():
         decomp.criterion(2, 1, 1)
 
 
+def test_criterion_matches_its_rational_form():
+    for n_dim in range(3, 9):
+        for m in range(1, 30):
+            for r in range(1, 15):
+                rhs = (3 - Fraction(2 * n_dim - 4, (n_dim - 1) * r)) * Fraction(n_dim - 1, n_dim + 1)
+                assert decomp.criterion(n_dim, m, r) == (Fraction(m, r) < rhs), (n_dim, m, r)
+
+
 def test_criterion_is_sound_for_noncontainment():
     # criterion true always implies actual non-containment
     for n_dim, s, c in [(3, 4, 2), (4, 5, 3)]:
@@ -193,19 +222,30 @@ def test_criterion_boundary_mismatches_are_real_noncontainments():
 
 
 def test_rho_exact():
-    assert decomp.rho_exact(4, 2) == Fraction(3, 2)
-    assert decomp.rho_exact(4, 3) == Fraction(3, 2)
-    assert decomp.rho_exact(5, 4) == Fraction(8, 5)
-    assert decomp.rho_exact(5, 3) == Fraction(9, 5)
-    assert decomp.rho_exact(6, 1) == Fraction(1)
-    assert decomp.rho_exact(6, 3) is None
-    assert decomp.rho_lower_bound(6, 3) == Fraction(2)
-    # the exact value always respects the general lower bound
-    for s in range(3, 8):
+    for s in range(2, 11):
+        n_dim = s - 1
+        assert decomp.rho_exact(s, 1) == 1  # principal ideal: symbolic powers are ordinary powers
+        assert decomp.rho_exact(s, n_dim) == Fraction(2 * n_dim, n_dim + 1)
+        if n_dim >= 3:
+            assert decomp.rho_exact(s, n_dim - 1) == Fraction(3 * (n_dim - 1), n_dim + 1)
+    for s in range(3, 11):
         for c in range(1, s):
-            rho = decomp.rho_exact(s, c)
-            if rho is not None:
-                assert rho >= decomp.rho_lower_bound(s, c)
+            assert decomp.rho_exact(s, c) == Fraction(c * (s - c + 1), s)
+    with pytest.raises(UsageError):
+        decomp.rho_exact(4, 4)
+
+
+def test_resurgence_is_approached_not_attained():
+    # at m = ck, alpha(I^(m)) = sk, so r = floor(sk/d) + 1 is a non-contained cell
+    for s in range(2, 9):
+        for c in range(1, s):
+            d, rho = s - c + 1, decomp.rho_exact(s, c)
+            for k in (1, 5, 40):
+                m, r = c * k, s * k // d + 1
+                assert not decomp.symbolic_in_power(s, c, m, r, r_cap=r), (s, c, k)
+                assert rho * s * k / (s * k + d) <= Fraction(m, r) < rho, (s, c, k)
+            rep = decomp.resurgence_scan(s, c, 12, 6, r_cap=6)
+            assert rep.empirical_sup is not None and rep.empirical_sup < rep.rho == rho
 
 
 def test_resurgence_scan_small():
@@ -229,7 +269,7 @@ def test_resurgence_scan_criterion_mismatch_bookkeeping():
     rep = decomp.resurgence_scan(4, 2, 12, 8)
     assert rep.criterion_mismatches == ((4, 3), (10, 7))
     assert rep.empirical_sup == Fraction(10, 7)
-    assert rep.lower_bound == Fraction(3, 2) == rep.rho
+    assert rep.rho == Fraction(3, 2)
 
 
 def test_scan_validation():

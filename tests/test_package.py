@@ -29,10 +29,10 @@ RECORDS = [
      "SymbolicMatrix(rows=1, cols=1, entries=((SparsePoly(arity=1, terms=()),),))"),
     (sc.ResolutionShape, ((((-2, 3),),),), ((((-2, 4),),),), None,
      "ResolutionShape(modules=(((-2, 3),),))"),
-    (sc.ContainmentReport, (4, 2, ((1, 1, True),), None, Fraction(3, 2), Fraction(3, 2)),
-     (4, 2, ((1, 1, True),), None, Fraction(3, 2), Fraction(3, 2), ((1, 1),)), None,
+    (sc.ContainmentReport, (4, 2, ((1, 1, True),), None, Fraction(3, 2)),
+     (4, 2, ((1, 1, True),), None, Fraction(3, 2), ((1, 1),)), None,
      "ContainmentReport(s=4, c=2, entries=((1, 1, True),), empirical_sup=None, "
-     "lower_bound=Fraction(3, 2), rho=Fraction(3, 2), criterion_mismatches=())"),
+     "rho=Fraction(3, 2), criterion_mismatches=())"),
 ]
 
 

@@ -240,8 +240,11 @@ def test_alpha_omega_formulas():
 
 
 def test_lemma_containment():
-    for s, c in [(3, 2), (4, 2), (5, 3)]:
-        assert star.check_lemma_contain(StarConfig(s, c))
+    for s in range(3, 9):
+        for c in range(2, s):
+            cfg = StarConfig(s, c)
+            oracle = ex.contains(star.symbolic_power(cfg, 2), star.skeleton_ideal(StarConfig(s, c - 1)))
+            assert star.check_lemma_contain(cfg) and oracle, (s, c)
     with pytest.raises(UsageError):
         star.check_lemma_contain(StarConfig(4, 1))
 
