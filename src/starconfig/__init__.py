@@ -16,6 +16,7 @@ __version__ = "0.1.0"
 # submodule -> the public names it exports at package level
 _EXPORTS = {
     "errors": ("ResourceCapError", "TheoremViolation", "UsageError"),
+    "config": ("StarConfig", "alpha_symbolic_formula", "omega_symbolic_formula"),
     "exponents": (
         "MonomialIdeal",
         "alpha",
@@ -63,11 +64,8 @@ _EXPORTS = {
     ),
     "star": (
         "SimplicialComplex",
-        "StarConfig",
-        "alpha_symbolic_formula",
         "check_lemma_contain",
         "is_matroid",
-        "omega_symbolic_formula",
         "skeleton_complex",
         "skeleton_ideal",
         "stanley_reisner_ideal",

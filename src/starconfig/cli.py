@@ -12,15 +12,17 @@ Environment variables override default caps: STARCONFIG_ENUM_CAP (symbolic
 power enumeration), STARCONFIG_DEGREE_CAP (h-vector degree cap),
 STARCONFIG_POWER_CAP (ordinary-power exponent cap in containment commands).
 
-Each command imports the library modules it runs when it runs, and calls
-them as module attributes, so a process loads only what its command needs.
+The parser holds only the subcommand named on the command line, and each
+command's report builder lives in its own module of starconfig.commands,
+imported when it runs, so a process compiles and builds only what its
+command needs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import io
-import json
 import os
 import sys
 from math import gcd
@@ -51,256 +53,6 @@ def _env_cap(name: str) -> int | None:
         return _positive_int(raw)
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"{name} {exc}") from None
-
-
-def _frac_str(q) -> str | None:
-    """A Fraction as "num/den", None as None."""
-    return None if q is None else f"{q.numerator}/{q.denominator}"
-
-
-def _ideal_summary(ideal, list_gens: bool = True) -> dict:
-    """Arity, generator count, alpha/omega and optionally the generators of a MonomialIdeal."""
-    from . import exponents as ex
-
-    out = {
-        "arity": ideal.arity,
-        "generator_count": len(ideal.gens),
-    }
-    if not ideal.is_zero:
-        out["alpha"] = ex.alpha(ideal)
-        out["omega"] = ex.omega(ideal)
-    if list_gens:
-        out["generators"] = [ex.monomial_str(g) for g in ideal.gens]
-        out["exponents"] = [list(g) for g in ideal.gens]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# command implementations: each returns (report_dict, exit_code)
-
-
-def _cmd_skeleton(args) -> tuple[dict, int]:
-    from . import exponents as ex, hilbert, star
-
-    cfg = star.StarConfig(args.s, args.c)
-    # first, so that the closed form's work check refuses a huge skeleton before it is built
-    hv = hilbert.symbolic_h_vector(cfg, 1, d_cap=args.degree_cap)
-    ideal = star.skeleton_ideal(cfg)
-    generic = hilbert.generic_hvector(args.s, args.c)
-    report = {
-        "command": "skeleton",
-        "params": {"s": args.s, "c": args.c},
-        "caps": {"degree_cap": args.degree_cap},
-        "ideal": _ideal_summary(ideal),
-        "h_vector": list(hv.entries),
-        "generic_h_vector": list(generic.entries),
-        "h_vector_matches_generic": hv.entries == generic.entries,
-        "degree": hv.total(),
-        "alpha": ex.alpha(ideal),
-    }
-    return report, 0 if report["h_vector_matches_generic"] else 1
-
-
-def _cmd_symbolic(args) -> tuple[dict, int]:
-    from . import exponents as ex, star
-
-    cfg = star.StarConfig(args.s, args.c)
-    cap = star.DEFAULT_ENUM_CAP if args.enum_cap is None else args.enum_cap
-    ideal = star.symbolic_power(cfg, args.ell, enum_cap=cap)
-    a, o = ex.alpha(ideal), ex.omega(ideal)
-    a_formula = star.alpha_symbolic_formula(cfg, args.ell)
-    o_formula = star.omega_symbolic_formula(cfg, args.ell)
-    report = {
-        "command": "symbolic",
-        "params": {"s": args.s, "c": args.c, "ell": args.ell},
-        "caps": {"enum_cap": cap},
-        "ideal": _ideal_summary(ideal, list_gens=len(ideal.gens) <= args.max_listed),
-        "alpha": a,
-        "omega": o,
-        "alpha_formula": a_formula,
-        "omega_formula": o_formula,
-        "formulas_match": a == a_formula and o == o_formula,
-    }
-    return report, 0 if report["formulas_match"] else 1
-
-
-def _cmd_hvector(args) -> tuple[dict, int]:
-    from . import hilbert, star
-
-    cfg = star.StarConfig(args.s, args.c)
-    hv = hilbert.symbolic_h_vector(cfg, args.ell, d_cap=args.degree_cap)
-    report = {
-        "command": "hvector",
-        "params": {"s": args.s, "c": args.c, "ell": args.ell},
-        "caps": {"degree_cap": args.degree_cap},
-        "h_vector": list(hv.entries),
-        "degree": hv.total(),
-    }
-    if args.ell == 2:
-        formula = hilbert.ss_hvector_formula(args.s, args.c)
-        report["formula"] = list(formula.entries)
-        report["matches_formula"] = hv.entries == formula.entries
-        return report, 0 if report["matches_formula"] else 1
-    return report, 0
-
-
-def _cmd_betti(args) -> tuple[dict, int]:
-    from . import hilbert, resolution, star
-
-    shape = resolution.ss_resolution(args.s, args.c)
-    numerator = hilbert.symbolic_numerator(star.StarConfig(args.s, args.c), 2)
-    euler_ok = resolution.shape_numerator(shape) == numerator
-    report = {
-        "command": "betti",
-        "params": {"s": args.s, "c": args.c},
-        "caps": {},
-        "modules": [
-            {"index": i + 1, "terms": [{"twist": t, "rank": r} for t, r in pairs]}
-            for i, pairs in enumerate(shape.modules)
-        ],
-        "euler_check": euler_ok,
-    }
-    return report, 0 if euler_ok else 1
-
-
-def _cmd_hb(args) -> tuple[dict, int]:
-    from . import resolution
-
-    matrix = resolution.hb_matrix(args.s, args.m)
-    minors = resolution.maximal_minors(matrix)
-    verified = resolution.verify_hb(args.s, args.m, minors)
-    report = {
-        "command": "hb",
-        "params": {"s": args.s, "m": args.m},
-        "caps": {"det_dimension_cap": resolution.DET_DIMENSION_CAP},
-        "matrix_rows": matrix.rows,
-        "matrix_cols": matrix.cols,
-        "minors": [str(p) for p in minors],
-        "minor_ideal_equals_symbolic_power": verified,
-    }
-    return report, 0 if verified else 1
-
-
-def _cmd_decomp(args) -> tuple[dict, int]:
-    from . import decomp
-
-    s_cap = decomp.DECOMP_S_CAP if args.s_cap is None else args.s_cap
-    l_cap = decomp.DECOMP_L_CAP if args.l_cap is None else args.l_cap
-    power_ok = decomp.verify_power_decomposition(args.s, args.c, args.ell, s_cap=s_cap, l_cap=l_cap)
-    sat_ok = decomp.verify_saturation(args.s, args.c, args.ell, s_cap=s_cap, l_cap=l_cap)
-    report = {
-        "command": "decomp",
-        "params": {"s": args.s, "c": args.c, "ell": args.ell},
-        "caps": {"s_cap": s_cap, "l_cap": l_cap},
-        "power_decomposition": power_ok,
-        "saturation_identity": sat_ok,
-    }
-    return report, 0 if power_ok and sat_ok else 1
-
-
-def _cmd_containment(args) -> tuple[dict, int]:
-    from . import decomp
-
-    contained = decomp.symbolic_in_power(args.s, args.c, args.m, args.r, r_cap=args.power_cap)
-    report = {
-        "command": "containment",
-        "params": {"s": args.s, "c": args.c, "m": args.m, "r": args.r},
-        "caps": {"power_cap": args.power_cap},
-        "contained": contained,
-    }
-    n_dim = args.s - 1
-    if args.c == n_dim - 1 and n_dim >= 3:
-        crit = decomp.criterion(n_dim, args.m, args.r)
-        report["criterion_noncontainment"] = crit
-        report["criterion_agrees"] = crit != contained
-    return report, 0
-
-
-def _cmd_scan(args) -> tuple[dict, int]:
-    from . import decomp
-
-    rep = decomp.resurgence_scan(args.s, args.c, args.mmax, args.rmax, r_cap=args.power_cap)
-    report = {
-        "command": "scan",
-        "params": {"s": args.s, "c": args.c, "m_max": args.mmax, "r_max": args.rmax},
-        "caps": {"power_cap": args.power_cap},
-        "entries": [
-            {"m": m, "r": r, "contained": contained} for m, r, contained in rep.entries
-        ],
-        "empirical_sup": _frac_str(rep.empirical_sup),
-        "lower_bound": _frac_str(rep.rho),  # the bound c(s-c+1)/s is the resurgence itself
-        "rho_exact": _frac_str(rep.rho),
-        "criterion_mismatches": [list(p) for p in rep.criterion_mismatches],
-    }
-    return report, 0
-
-
-def _cmd_matroid(args) -> tuple[dict, int]:
-    from . import exponents as ex, star
-
-    cfg = star.StarConfig(args.s, args.c)
-    complex_ = star.skeleton_complex(cfg)
-    matroid_ok = star.is_matroid(complex_)
-    sr_ok = ex.equals(star.stanley_reisner_ideal(complex_), star.skeleton_ideal(cfg))
-    report = {
-        "command": "matroid",
-        "params": {"s": args.s, "c": args.c},
-        "caps": {"vertex_cap": star.MATROID_VERTEX_CAP},
-        "facet_count": len(complex_.facets),
-        "is_matroid": matroid_ok,
-        "stanley_reisner_matches_skeleton": sr_ok,
-    }
-    return report, 0 if matroid_ok and sr_ok else 1
-
-
-def _cmd_wk(args) -> tuple[dict, int]:
-    from . import exponents as ex, hilbert, star
-
-    s, ell = args.s, args.ell
-    star.check_wk(s, ell)  # before anything is listed, so a huge s is refused
-    if args.k is not None and not 0 <= args.k < s:
-        raise UsageError(f"need 0 <= k < s, got k={args.k}")
-    ks = range(s) if args.k is None else range(args.k, args.k + 1)
-    chain = {j: star.wk_ideal(s, ell, j) for j in range(ks.start, ks.stop + 1)}  # each W_j once
-    steps = []
-    all_ok = True
-    for k in ks:
-        current, nxt = chain[k], chain[k + 1]
-        step_ok = star.wk_step_check(s, ell, k, current, nxt)
-        link = ex.MonomialIdeal(s, (star.wk_link_monomial(s, ell, k),))
-        hf_ok = hilbert.bdg_hf_check(link, current, 1, nxt)
-        all_ok = all_ok and step_ok and hf_ok
-        steps.append(
-            {
-                "k": k,
-                "link_identity_and_degree": step_ok,
-                "hilbert_function_identity": hf_ok,
-                "degree_before": star.wk_degree(s, ell, k),
-                "degree_after": star.wk_degree(s, ell, k + 1),
-            }
-        )
-    report = {
-        "command": "wk",
-        "params": {"s": s, "ell": ell, "k": args.k},
-        "caps": {},
-        "steps": steps,
-        "all_steps_verified": all_ok,
-    }
-    return report, 0 if all_ok else 1
-
-
-def _cmd_export(args) -> tuple[dict, int]:
-    from . import export
-
-    forms = export.parse_forms(args.forms) if args.forms else export.coordinate_forms(args.s)
-    script = export.export_cas(args.s, args.c, args.ell, args.target, forms)
-    report = {
-        "command": "export",
-        "params": {"s": args.s, "c": args.c, "ell": args.ell, "target": args.target},
-        "caps": {},
-        "script": script,
-    }
-    return report, 0
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +114,8 @@ def _render_csv(report: dict) -> str:
 
 def render(report: dict, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         return _render_csv(report)
@@ -372,7 +126,43 @@ def render(report: dict, fmt: str) -> str:
 # argument parsing and dispatch
 
 
-def build_parser() -> argparse.ArgumentParser:
+_DEGREE_CAP = ("--degree-cap", "STARCONFIG_DEGREE_CAP")
+_POWER_CAP = ("--power-cap", "STARCONFIG_POWER_CAP")
+
+# command -> (help, the required integer flags after --s, further flags), in --help order.  A
+# further flag is (name, add_argument keywords), or (name, variable) for a positive-int cap whose
+# default the environment variable gives.  starconfig.commands.<command>.run builds the report.
+COMMANDS = {
+    "skeleton": ("skeleton ideal: generators, h-vector, degree, alpha", ("c",), (_DEGREE_CAP,)),
+    "symbolic": ("symbolic power: generators, alpha/omega vs closed forms", ("c", "ell"), (
+        ("--enum-cap", "STARCONFIG_ENUM_CAP"),
+        ("--max-listed", {"type": int, "default": 64, "help": "list generators only up to this count"}))),
+    "hvector": ("h-vector of the skeleton (--ell 1) or a symbolic power", ("c",), (
+        ("--ell", {"type": int, "default": 1}), _DEGREE_CAP)),
+    "betti": ("resolution shape of the symbolic square plus the Euler check", ("c",), ()),
+    "hb": ("determinantal matrix, its maximal minors, and the minor-ideal check", ("m",), ()),
+    # no default: None means decomp's default caps, read when the command runs, not at parsing
+    "decomp": ("power decomposition and saturation identity", ("c", "ell"), (
+        ("--s-cap", {"type": _positive_int}), ("--l-cap", {"type": _positive_int}))),
+    "containment": ("single symbolic-vs-ordinary power containment", ("c", "m", "r"), (_POWER_CAP,)),
+    "scan": ("containment grid with the empirical resurgence supremum", ("c", "mmax", "rmax"), (_POWER_CAP,)),
+    "matroid": ("matroid property of the skeleton complex and the Stanley-Reisner check", ("c",), ()),
+    "wk": ("basic-double-link chain checks between symbolic powers (codimension 2)", ("ell",), (
+        ("--k", {"type": int, "default": None, "help": "single step; default checks every step"}),)),
+    "export": ("emit a Macaulay2 or Singular script for the general-forms check", ("c", "ell"), (
+        ("--target", {"choices": ("m2-syntax", "singular-syntax"), "required": True}),
+        ("--forms", {"help": "semicolon-separated linear forms, each a comma-separated coefficient list; "
+                     "defaults to the s coordinate hyperplanes"}))),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the named command alone.
+
+    The one-command parser names every command in its usage line, so its
+    --help and error output are those of the full parser; it reads only that
+    command's cap environment variables.
+    """
     parser = argparse.ArgumentParser(
         prog="starconfig",
         description="Exact computations for star configurations in the monomial model.",
@@ -381,86 +171,46 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--output", help="write the report to this path instead of stdout")
     common.add_argument("--jobs", type=int, default=1, help="parallelism hint; does not affect output")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help, *required):
-        """A subcommand taking --s and then the named required integer flags."""
+    names = COMMANDS if command is None else (command,)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help, required, options = COMMANDS[name]
         p = sub.add_parser(name, parents=[common], help=help)
         p.add_argument("--s", type=int, required=True, help="number of hyperplanes/variables")
         for flag in required:
             p.add_argument(f"--{flag}", type=int, required=True)
-        return p
-
-    p = add("skeleton", "skeleton ideal: generators, h-vector, degree, alpha", "c")
-    p.add_argument("--degree-cap", type=_positive_int, default=_env_cap("STARCONFIG_DEGREE_CAP"))
-
-    p = add("symbolic", "symbolic power: generators, alpha/omega vs closed forms", "c", "ell")
-    p.add_argument("--enum-cap", type=_positive_int, default=_env_cap("STARCONFIG_ENUM_CAP"))
-    p.add_argument("--max-listed", type=int, default=64, help="list generators only up to this count")
-
-    p = add("hvector", "h-vector of the skeleton (--ell 1) or a symbolic power", "c")
-    p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--degree-cap", type=_positive_int, default=_env_cap("STARCONFIG_DEGREE_CAP"))
-
-    add("betti", "resolution shape of the symbolic square plus the Euler check", "c")
-    add("hb", "determinantal matrix, its maximal minors, and the minor-ideal check", "m")
-
-    p = add("decomp", "power decomposition and saturation identity", "c", "ell")
-    # None means decomp's default caps, read in _cmd_decomp so that parsing imports no library module
-    p.add_argument("--s-cap", type=_positive_int)
-    p.add_argument("--l-cap", type=_positive_int)
-
-    p = add("containment", "single symbolic-vs-ordinary power containment", "c", "m", "r")
-    p.add_argument("--power-cap", type=_positive_int, default=_env_cap("STARCONFIG_POWER_CAP"))
-
-    p = add("scan", "containment grid with the empirical resurgence supremum", "c", "mmax", "rmax")
-    p.add_argument("--power-cap", type=_positive_int, default=_env_cap("STARCONFIG_POWER_CAP"))
-
-    add("matroid", "matroid property of the skeleton complex and the Stanley-Reisner check", "c")
-
-    p = add("wk", "basic-double-link chain checks between symbolic powers (codimension 2)", "ell")
-    p.add_argument("--k", type=int, default=None, help="single step; default checks every step")
-
-    p = add("export", "emit a Macaulay2 or Singular script for the general-forms check", "c", "ell")
-    p.add_argument("--target", choices=("m2-syntax", "singular-syntax"), required=True)
-    p.add_argument(
-        "--forms",
-        help="semicolon-separated linear forms, each a comma-separated coefficient list; "
-        "defaults to the s coordinate hyperplanes",
-    )
-
+        for flag, kwargs in options:
+            if isinstance(kwargs, str):  # a cap flag and its environment variable
+                kwargs = {"type": _positive_int, "default": _env_cap(kwargs)}
+            p.add_argument(flag, **kwargs)
     return parser
 
 
-_COMMANDS = {
-    "skeleton": _cmd_skeleton,
-    "symbolic": _cmd_symbolic,
-    "hvector": _cmd_hvector,
-    "betti": _cmd_betti,
-    "hb": _cmd_hb,
-    "decomp": _cmd_decomp,
-    "containment": _cmd_containment,
-    "scan": _cmd_scan,
-    "matroid": _cmd_matroid,
-    "wk": _cmd_wk,
-    "export": _cmd_export,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     args = None
     try:
-        parser = build_parser()
+        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return 2 if exc.code not in (0, None) else 0
         if args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
-        report, code = _COMMANDS[args.command](args)
+        command = importlib.import_module(f".commands.{args.command}", __package__)
+        report, code = command.run(args)
         if code == 1:
             report["failure_reason"] = "a verified identity did not hold; see the report fields"
         text = render(report, args.format)
+        if args.output:
+            try:
+                with open(args.output, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write the report: {exc}") from None
+        else:
+            sys.stdout.write(text)
     except UsageError as exc:
         _emit_error(args, "usage", str(exc))
         return 2
@@ -474,17 +224,14 @@ def main(argv: list[str] | None = None) -> int:
     except TheoremViolation as exc:
         _emit_error(args, "theorem-violation", str(exc))
         return 1
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 
 def _emit_error(args, kind: str, message: str) -> None:
     fmt = getattr(args, "format", "text")
     if fmt == "json":
+        import json
+
         payload = {"error": {"kind": kind, "reason": message}}
         sys.stderr.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:

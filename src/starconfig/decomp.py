@@ -17,8 +17,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
 from math import comb
 
-from . import exponents as ex
-from . import star
+from . import config
 from .errors import ResourceCapError, TheoremViolation, UsageError
 from .record import Record
 
@@ -31,9 +30,14 @@ DEFAULT_R_CAP_LARGE = 3
 DECOMP_S_CAP = 5
 DECOMP_L_CAP = 3
 
+# resurgence_scan keeps a report entry per cell; larger m x r grids are refused up front.
+SCAN_CELL_CAP = 100_000
+
 
 def irrelevant_ideal(s: int) -> ex.MonomialIdeal:
     """The ideal generated by all s variables."""
+    from . import exponents as ex
+
     return ex.variable_ideal(s, range(s))
 
 
@@ -41,6 +45,8 @@ def irrelevant_power(s: int, t: int) -> ex.MonomialIdeal:
     """The t-th power of the irrelevant ideal: all monomials of degree t."""
     if t < 0:
         raise UsageError(f"power must be nonnegative, got {t}")
+    from . import exponents as ex
+
     return ex.MonomialIdeal(s, tuple(sorted(ex.monomials_of_degree(s, t), key=ex.grlex_key)))
 
 
@@ -51,6 +57,8 @@ def _default_r_cap(s: int) -> int:
 @lru_cache(maxsize=32)
 def _symbolic_intersection(s: int, c: int, ell: int) -> ex.MonomialIdeal:
     """The intersection of the ((j+1)*ell)-th symbolic powers of the codimension-(c+j) skeletons, j = 0..N-c."""
+    from . import exponents as ex, star
+
     return ex.intersect_many(
         star.symbolic_power(star.StarConfig(s, c + j), (j + 1) * ell) for j in range(s - c)
     )
@@ -63,7 +71,9 @@ def rhs_decomposition(s: int, c: int, ell: int) -> ex.MonomialIdeal:
     skeletons for j = 0..N-c (N = s-1), then the (N-c+2)*ell-th power of the
     irrelevant ideal.
     """
-    star.check_ell(ell)
+    from . import exponents as ex
+
+    config.check_ell(ell)
     # the irrelevant factor: intersect with M^t via degree truncation
     return ex.truncate_to_degree(_symbolic_intersection(s, c, ell), (s - c + 1) * ell)
 
@@ -71,11 +81,11 @@ def rhs_decomposition(s: int, c: int, ell: int) -> ex.MonomialIdeal:
 def _check_decomp(check: str, s: int, c: int, ell: int, s_cap: int, l_cap: int) -> None:
     if s > s_cap or ell > l_cap:
         raise ResourceCapError(f"{check} check capped at s <= {s_cap}, ell <= {l_cap}; got s={s}, ell={ell}")
-    star.StarConfig(s, c)  # validate ranges
-    star.check_ell(ell)
+    config.StarConfig(s, c)  # validate ranges
+    config.check_ell(ell)
     tuples = comb((s - c + 1) * ell + s, s)  # what _decomp_verdicts scans, when the caps are raised
-    if tuples > star.DEFAULT_ENUM_CAP:
-        raise ResourceCapError(f"{check} check scans {tuples} exponent tuples, cap is {star.DEFAULT_ENUM_CAP}")
+    if tuples > config.DEFAULT_ENUM_CAP:
+        raise ResourceCapError(f"{check} check scans {tuples} exponent tuples, cap is {config.DEFAULT_ENUM_CAP}")
 
 
 def _box_memberships(a: ex.Exponent, c: int, ell: int) -> tuple[bool, bool, bool, bool]:
@@ -138,7 +148,7 @@ def symbolic_in_power(s: int, c: int, m: int, r: int, r_cap: int | None = None) 
     """Whether the m-th symbolic power is contained in the r-th ordinary power.
 
     The alpha rule: with d = s-c+1, I^(m) is in I^r iff alpha(I^(m)) >= rd,
-    where alpha(I^(m)) = m + (s-c)*ceil(m/c) (star.alpha_symbolic_formula).
+    where alpha(I^(m)) = m + (s-c)*ceil(m/c) (config.alpha_symbolic_formula).
     Proof.  I is the squarefree Veronese ideal of degree d, so x^a is in I^r
     iff sum(min(a_i, r)) >= rd (Herzog & Hibi, "Discrete polymatroids",
     J. Algebraic Combin. 16 (2002)).  Both ideals are symmetric, so it is
@@ -160,7 +170,7 @@ def symbolic_in_power(s: int, c: int, m: int, r: int, r_cap: int | None = None) 
     cap = _default_r_cap(s) if r_cap is None else r_cap
     if r > cap:
         raise ResourceCapError(f"power exponent r={r} exceeds the cap {cap} for s={s}")
-    return star.alpha_symbolic_formula(star.StarConfig(s, c), m) >= r * (s - c + 1)
+    return config.alpha_symbolic_formula(config.StarConfig(s, c), m) >= r * (s - c + 1)
 
 
 def criterion(n_dim: int, m: int, r: int) -> bool:
@@ -187,7 +197,7 @@ def rho_exact(s: int, c: int) -> Fraction:
     """
     from fractions import Fraction
 
-    star.StarConfig(s, c)  # validate ranges
+    config.StarConfig(s, c)  # validate ranges
     return Fraction(c * (s - c + 1), s)
 
 
@@ -213,12 +223,15 @@ def resurgence_scan(
     For c = N-1 with N >= 3 every cell is also compared against the rational
     criterion and disagreements are recorded in the report.  The empirical
     supremum over non-contained cells stays below the resurgence, which is
-    not attained (rho_exact); that is enforced.
+    not attained (rho_exact); that is enforced.  A grid of more than
+    SCAN_CELL_CAP cells is refused before any cell is computed.
     """
     from fractions import Fraction
 
     if m_max < 1 or r_max < 1:
         raise UsageError(f"need m_max, r_max >= 1, got {m_max}, {r_max}")
+    if m_max * r_max > SCAN_CELL_CAP:
+        raise ResourceCapError(f"the scan has {m_max * r_max} cells, cap is {SCAN_CELL_CAP}")
     n_dim = s - 1
     entries = []
     mismatches = []
@@ -249,6 +262,7 @@ __all__ = [
     "ContainmentReport",
     "DECOMP_L_CAP",
     "DECOMP_S_CAP",
+    "SCAN_CELL_CAP",
     "criterion",
     "irrelevant_ideal",
     "irrelevant_power",

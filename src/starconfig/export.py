@@ -3,26 +3,28 @@
 The `export` command writes a Macaulay2 or Singular script that builds the
 configuration ideal of s linear forms over the rationals, its ell-th power
 and the conjectured intersection of symbolic powers, and prints whether they
-are equal.  The forms are exact rational coefficient tuples.
+are equal.  The forms are exact coefficient tuples: Fractions, or ints for
+the coordinate hyperplanes, so the default export never imports fractions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from . import star
+from . import config
 from .errors import ResourceCapError, UsageError
 
 
-def coordinate_forms(s: int) -> list[tuple[Fraction, ...]]:
-    """The monomial model: the s coordinate hyperplanes of P^{s-1}."""
-    return [tuple(Fraction(1 if j == i else 0) for j in range(s)) for i in range(s)]
+def coordinate_forms(s: int) -> list[tuple[int, ...]]:
+    """The monomial model: the s coordinate hyperplanes of P^{s-1}, with integer coefficients."""
+    return [tuple(1 if j == i else 0 for j in range(s)) for i in range(s)]
 
 
 def parse_forms(text: str) -> list[tuple[Fraction, ...]]:
     """Parse ``a,b,c;d,e,f;...`` into coefficient tuples (exact rationals)."""
+    from fractions import Fraction
+
     forms = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -81,18 +83,18 @@ def export_cas(
         raise UsageError(f"unknown export target {target!r}")
     if len(forms) != s:
         raise UsageError(f"expected {s} linear forms, got {len(forms)}")
-    star.check_ell(ell)
+    config.check_ell(ell)
     n = len(forms[0]) - 1
     if n < 1:
         raise UsageError("forms must have at least 2 coefficients")
     if s <= n:
         raise UsageError(f"the configuration needs s > n, got s={s}, n={n}")
-    star.StarConfig(s, c)  # range validation for c
+    config.StarConfig(s, c)  # range validation for c
     if c > n:
         raise UsageError(f"codimension c={c} exceeds the ambient dimension n={n}")
     listed = sum(comb(s, k) for k in range(c, n + 1))
-    if listed > star.DEFAULT_ENUM_CAP:
-        raise ResourceCapError(f"the script lists {listed} subsets of forms, cap is {star.DEFAULT_ENUM_CAP}")
+    if listed > config.DEFAULT_ENUM_CAP:
+        raise ResourceCapError(f"the script lists {listed} subsets of forms, cap is {config.DEFAULT_ENUM_CAP}")
     m_exp = (s - c + 1) * ell
     m2 = target == "m2-syntax"
     comment = "--" if m2 else "//"

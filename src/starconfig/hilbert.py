@@ -20,8 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, lgamma, log
 
-from . import exponents as ex
-from . import star
+from . import config
 from .errors import ResourceCapError, UsageError
 from .record import Record
 
@@ -71,6 +70,8 @@ def _support_blocks(gens: tuple[ex.Exponent, ...]) -> list[tuple[ex.Exponent, ..
 @lru_cache(maxsize=4096)
 def _numerator(ideal: ex.MonomialIdeal) -> tuple[int, ...]:
     """Coefficients of the Hilbert-series numerator K(t) of R/ideal."""
+    from . import exponents as ex  # only the recursion needs ideal arithmetic
+
     gens = ideal.gens
     s = ideal.arity
     if not gens:
@@ -168,7 +169,7 @@ def _symbolic_work(s: int, c: int, ell: int) -> int:
     integers no longer than the K(t) bound C(s,c) * C(ell-1+c,c) * 2^c.
     """
     ops = c * ell * (ell + 1) * (s - c + 2)
-    if ops > star.DEFAULT_ENUM_CAP:  # refused anyway; keeps lgamma's arguments in float range
+    if ops > config.DEFAULT_ENUM_CAP:  # refused anyway; keeps lgamma's arguments in float range
         return ops
     bits = _log2_comb(s, c) + _log2_comb(ell - 1 + c, c) + c
     return ops * (1 + int(bits) // 64)
@@ -185,7 +186,7 @@ def _placements(s: int, c: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def symbolic_numerator(cfg: star.StarConfig, ell: int) -> tuple[int, ...]:
+def symbolic_numerator(cfg: config.StarConfig, ell: int) -> tuple[int, ...]:
     """The Hilbert-series numerator K(t) of R/I^(ell) in closed form, building no ideal.
 
     Counting argument.  A monomial x^a is standard (lies outside I^(ell))
@@ -204,16 +205,16 @@ def symbolic_numerator(cfg: star.StarConfig, ell: int) -> tuple[int, ...]:
 
     with P_{<=M} = 1+t+...+t^M and P_{<M} = 1+t+...+t^(M-1), and
     K(t) = N(t) * (1-t)^c.  When the work estimate of _symbolic_work passes
-    star.DEFAULT_ENUM_CAP it raises ResourceCapError before allocating
+    config.DEFAULT_ENUM_CAP it raises ResourceCapError before allocating
     anything.
     """
-    star.check_ell(ell)
+    config.check_ell(ell)
     s, c = cfg.s, cfg.c
     work = _symbolic_work(s, c, ell)
-    if work > star.DEFAULT_ENUM_CAP:
+    if work > config.DEFAULT_ENUM_CAP:
         raise ResourceCapError(
             f"closed-form Hilbert numerator needs about {work} word operations, "
-            f"cap is {star.DEFAULT_ENUM_CAP}"
+            f"cap is {config.DEFAULT_ENUM_CAP}"
         )
     width = s - c + 1
     # parts[k-1] = sum over M of t^(M*width) * trunc_{<ell-M}(P_{<=M}^(k-1) P_{<M}^(c-k))
@@ -250,14 +251,14 @@ def symbolic_numerator(cfg: star.StarConfig, ell: int) -> tuple[int, ...]:
     return _poly_mul(_poly_trim(n), tuple(one_minus_t))
 
 
-def symbolic_h_vector(cfg: star.StarConfig, ell: int, d_cap: int | None = None) -> HVector:
+def symbolic_h_vector(cfg: config.StarConfig, ell: int, d_cap: int | None = None) -> HVector:
     """The h-vector of R/I^(ell) from the closed-form numerator.
 
     The default degree cap is that of I^(ell) in h_vector, whose top
     generator degree is omega_symbolic_formula.
     """
     k = symbolic_numerator(cfg, ell)
-    cap = _degree_cap(star.omega_symbolic_formula(cfg, ell)) if d_cap is None else d_cap
+    cap = _degree_cap(config.omega_symbolic_formula(cfg, ell)) if d_cap is None else d_cap
     return _h_vector_from_numerator(k, cfg.c, cap)
 
 

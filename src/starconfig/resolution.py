@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from math import comb
 
-from . import exponents as ex
-from . import hilbert, star
 from .errors import ResourceCapError, TheoremViolation, UsageError
 from .record import Record
 
@@ -34,7 +32,9 @@ class SparsePoly(Record):
 
     @staticmethod
     def from_dict(arity: int, d: dict[ex.Exponent, int]) -> SparsePoly:
-        items = tuple(sorted(((m, c) for m, c in d.items() if c != 0), key=lambda t: ex.grlex_key(t[0])))
+        from .exponents import grlex_key
+
+        items = tuple(sorted(((m, c) for m, c in d.items() if c != 0), key=lambda t: grlex_key(t[0])))
         return SparsePoly(arity, items)
 
     @staticmethod
@@ -93,9 +93,11 @@ class SparsePoly(Record):
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
+        from .exponents import monomial_str
+
         parts = []
         for m, c in self.terms:
-            mono = ex.monomial_str(m)
+            mono = monomial_str(m)
             if mono == "1":
                 parts.append(str(c))
             elif c == 1:
@@ -176,6 +178,8 @@ def shape_numerator(shape: ResolutionShape) -> tuple[int, ...]:
 
 def euler_check(shape: ResolutionShape, ideal: ex.MonomialIdeal) -> bool:
     """Whether the shape's alternating-sum numerator matches the ideal's Hilbert-series numerator."""
+    from . import hilbert
+
     return shape_numerator(shape) == hilbert._numerator(ideal)
 
 
@@ -190,17 +194,21 @@ def hb_matrix(s: int, m: int) -> SymbolicMatrix:
     Even m = 2r gives an (sr+1) x sr matrix; odd m = 2r+1 gives an
     s(r+1) x (s(r+1)-1) matrix.  Blocks: a top row of -P_i (even) or a
     bidiagonal block D (odd), then a staircase of diag(x_i) and -diag(P_i).
+    The matrix is built for its maximal minors, so a minor dimension (cols)
+    past DET_DIMENSION_CAP is refused before anything is allocated.
     """
     if s < 2:
         raise UsageError(f"need at least 2 variables, got s={s}")
     if m < 2:
         raise UsageError(f"the matrix is defined for m >= 2, got m={m}")
-    zero = SparsePoly.zero(s)
-    var = [SparsePoly.variable(s, i) for i in range(s)]
-    p_neg = [SparsePoly.monomial(s, _p_monomial(s, i), -1) for i in range(s)]
     r = m // 2
     top, left = (1, 0) if m % 2 == 0 else (s, s - 1)  # the header's rows and columns
     rows, cols = top + s * r, left + s * r
+    if cols > DET_DIMENSION_CAP:
+        raise ResourceCapError(f"minor dimension {cols} exceeds the cap {DET_DIMENSION_CAP}")
+    zero = SparsePoly.zero(s)
+    var = [SparsePoly.variable(s, i) for i in range(s)]
+    p_neg = [SparsePoly.monomial(s, _p_monomial(s, i), -1) for i in range(s)]
     grid = [[zero] * cols for _ in range(rows)]
     if m % 2 == 0:
         for i in range(s):  # top row: B
@@ -306,6 +314,8 @@ def verify_hb(s: int, m: int, minors: list[SparsePoly] | None = None) -> bool:
     Every minor must be plus or minus a single monomial; a minor with more
     terms is a theorem violation and raises with the witness.
     """
+    from . import exponents as ex, star
+
     if minors is None:
         minors = maximal_minors(hb_matrix(s, m))
     exps = []

@@ -7,7 +7,8 @@ s-c+1, and the ell-th symbolic power is generated by the monomials whose c
 smallest exponents sum to at least ell.
 
 Everything here is 0-based: variables and complex vertices are indexed
-0..s-1.  Operations are pure and outputs canonical.
+0..s-1.  Operations are pure and outputs canonical.  StarConfig and the
+alpha/omega closed forms are defined in config and re-exported here.
 """
 
 from __future__ import annotations
@@ -18,36 +19,12 @@ from functools import lru_cache
 from math import comb
 
 from . import exponents as ex
+from .config import DEFAULT_ENUM_CAP, StarConfig, alpha_symbolic_formula, check_ell, omega_symbolic_formula
 from .errors import ResourceCapError, UsageError
 from .record import Record
 
-# Cap on the exponent entries of the shapes and generators listed by enumeration ops.
-DEFAULT_ENUM_CAP = 5_000_000
-
 # is_matroid and Stanley-Reisner extraction list every face as a vertex bitmask.
 MATROID_VERTEX_CAP = 16
-
-
-def check_ell(ell: int) -> None:
-    """Refuse a symbolic or ordinary power exponent below 1 as a usage error."""
-    if ell < 1:
-        raise UsageError(f"need ell >= 1, got {ell}")
-
-
-class StarConfig(Record):
-    """Parameters of a skeleton in the monomial model P^{s-1}.
-
-    s is the number of hyperplanes (= number of variables), c the codimension.
-    """
-
-    s: int
-    c: int
-
-    def _validate(self):
-        if self.s < 2:
-            raise UsageError(f"need at least 2 hyperplanes, got s={self.s}")
-        if not 1 <= self.c <= self.s - 1:
-            raise UsageError(f"codimension must satisfy 1 <= c <= s-1, got c={self.c}, s={self.s}")
 
 
 class SimplicialComplex(Record):
@@ -173,23 +150,6 @@ def symbolic_power_by_intersection(cfg: StarConfig, ell: int) -> ex.MonomialIdea
         for subset in itertools.combinations(range(s), c)
     )
     return ex.intersect_many(terms)
-
-
-def alpha_symbolic_formula(cfg: StarConfig, ell: int) -> int:
-    """Closed form for the initial degree of the ell-th symbolic power.
-
-    Writing ell = q*c + r with 1 <= r <= c, the value is (q+1)*s - c + r.
-    """
-    check_ell(ell)
-    q, r = divmod(ell - 1, cfg.c)
-    r += 1
-    return (q + 1) * cfg.s - cfg.c + r
-
-
-def omega_symbolic_formula(cfg: StarConfig, ell: int) -> int:
-    """Closed form for the top generator degree: ell*(s-c+1), the initial degree of the ordinary power."""
-    check_ell(ell)
-    return ell * (cfg.s - cfg.c + 1)
 
 
 def check_lemma_contain(cfg: StarConfig) -> bool:

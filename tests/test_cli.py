@@ -84,6 +84,13 @@ def test_hb_computes_the_minors_once(capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
 
 
+def test_betti_refuses_before_listing_the_shape(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, resolution, "ss_resolution")
+    code, out, err = run(capsys, ["betti", "--s", "3000", "--c", "1500"])
+    assert code == 3 and out == "" and "resource-cap" in err
+    assert calls == []
+
+
 def test_decomp_command(capsys):
     code, out, _ = run(capsys, ["decomp", "--s", "4", "--c", "2", "--ell", "2", "--format", "json"])
     assert code == 0
@@ -192,6 +199,14 @@ def test_betti_14_7_is_checked(capsys):
         ["export", "--s", "30", "--c", "15", "--ell", "1", "--target", "m2-syntax"],
         # (ell+3)^s is never evaluated, and no list of s steps is built
         ["wk", "--s", str(10**400), "--ell", "1"],
+        # the closed-form numerator's work check runs before the resolution shape is listed
+        ["betti", "--s", "20000", "--c", "10000"],
+        ["betti", "--s", "3000", "--c", "1500"],
+        # the minor dimension is known from (s, m), so no grid of this size is allocated
+        ["hb", "--s", "200", "--m", "200"],
+        ["hb", "--s", "3", "--m", "20000"],
+        # 300,000 cells, each a report entry
+        ["scan", "--s", "4", "--c", "2", "--mmax", "1000", "--rmax", "300", "--power-cap", "300"],
     ],
 )
 def test_huge_hvector_is_refused_fast(capsys, argv):
@@ -242,29 +257,46 @@ def test_exhausted_resource_is_exit_3(capsys, monkeypatch, exc):
     assert err.startswith(f"error (resource-cap): {exc.__name__}")
 
 
-# what a CLI process must not load: on importing the CLI, over a whole hvector run, then a decomp run
-IMPORT_LEAVES_OUT = ("numpy", "dataclasses", "inspect", "fractions", "starconfig.decomp", "starconfig.resolution")
-HVECTOR_LEAVES_OUT = ("dataclasses", "inspect", "fractions", "starconfig.decomp")
-DECOMP_LEAVES_OUT = ("fractions", "decimal")  # the resurgence half of decomp imports them when it runs
+# what a CLI process must not load: on importing the CLI, then over one text-format run of a command
+IMPORT_LEAVES_OUT = (
+    "numpy", "dataclasses", "inspect", "fractions", "json",
+    "starconfig.config", "starconfig.commands", "starconfig.decomp", "starconfig.resolution",
+)
+IDEALS = ("starconfig.exponents", "starconfig.star", "starconfig.hilbert", "starconfig.resolution")
+RUN_LEAVES_OUT = {
+    # the resurgence half of decomp imports fractions when it runs
+    "decomp --s 5 --c 3 --ell 3": IDEALS + ("fractions", "decimal", "json"),
+    "containment --s 5 --c 2 --m 7 --r 5": IDEALS + ("fractions", "json"),
+    "scan --s 4 --c 2 --mmax 8 --rmax 5": IDEALS + ("json",),
+    "export --s 4 --c 2 --ell 2 --target m2-syntax": ("starconfig.star", "fractions", "json"),
+    "hvector --s 6 --c 3 --ell 2": ("starconfig.exponents", "starconfig.decomp", "dataclasses", "inspect", "fractions", "json"),
+    "betti --s 7 --c 3": ("starconfig.exponents", "starconfig.star", "json"),
+    "hb --s 4 --m 3": ("starconfig.hilbert", "json"),
+    "skeleton --s 5 --c 2": ("starconfig.resolution", "starconfig.decomp", "json"),
+}
 
 
 def test_cli_import_leaves_numpy_out():
-    # a fresh interpreter: this one may have imported these modules for other reasons
+    # fresh interpreters: this one has imported these modules for other reasons
     src = Path(cli.__file__).resolve().parent.parent
     probe = (
         "import os, sys, starconfig.cli\n"
-        f"print(sorted(set({IMPORT_LEAVES_OUT!r}) & set(sys.modules)))\n"
-        "code = starconfig.cli.main(['hvector', '--s', '6', '--c', '3', '--ell', '2', '--output', os.devnull])\n"
-        f"print(code, sorted(set({HVECTOR_LEAVES_OUT!r}) & set(sys.modules)))\n"
-        "code = starconfig.cli.main(['decomp', '--s', '5', '--c', '3', '--ell', '3', '--output', os.devnull])\n"
-        f"print(code, sorted(set({DECOMP_LEAVES_OUT!r}) & set(sys.modules)))\n"
+        "leaves_out = sys.argv[1].split()\n"
+        "if len(sys.argv) > 2:\n"
+        "    print(starconfig.cli.main(sys.argv[2:] + ['--output', os.devnull]))\n"
+        "print(sorted(set(leaves_out) & set(sys.modules)))\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=60, check=True,
-    )
-    assert done.stdout == "[]\n0 []\n0 []\n"
+
+    def loaded(leaves_out, argv=""):
+        return subprocess.run(
+            [sys.executable, "-c", probe, " ".join(leaves_out), *argv.split()],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60, check=True,
+        ).stdout
+
+    assert loaded(IMPORT_LEAVES_OUT) == "[]\n"
+    for argv, leaves_out in RUN_LEAVES_OUT.items():
+        assert loaded(leaves_out, argv) == "0\n[]\n", argv
 
 
 def test_theorem_violation_exit_code(capsys, monkeypatch):
@@ -292,6 +324,51 @@ def test_csv_only_for_scan(capsys):
     assert "csv" in err
 
 
+@pytest.mark.parametrize(
+    "variable, reader, other",
+    [
+        ("STARCONFIG_POWER_CAP", ["scan", "--s", "4", "--c", "3", "--mmax", "2", "--rmax", "2"], ["hvector", "--s", "4", "--c", "2"]),
+        ("STARCONFIG_DEGREE_CAP", ["hvector", "--s", "4", "--c", "2"], ["symbolic", "--s", "4", "--c", "2", "--ell", "2"]),
+        ("STARCONFIG_ENUM_CAP", ["symbolic", "--s", "4", "--c", "2", "--ell", "2"], ["containment", "--s", "4", "--c", "2", "--m", "3", "--r", "2"]),
+    ],
+)
+def test_malformed_env_cap_fails_only_its_readers(capsys, monkeypatch, variable, reader, other):
+    monkeypatch.setenv(variable, "bananas")
+    code, out, err = run(capsys, reader)
+    assert code == 2 and out == "" and err.startswith(f"error (usage): {variable} must be an integer")
+    code, out, err = run(capsys, other)
+    assert code == 0 and out and err == ""
+    # the full parser (help, or no command named) reads every variable, as before
+    assert run(capsys, ["--help"])[0] == 2
+
+
+def _sample_argv(command):
+    """Valid flags for a command: --s and its required integer flags, plus --target for export."""
+    _, required, _ = cli.COMMANDS[command]
+    argv = [command, "--s", "4"] + [arg for flag in required for arg in (f"--{flag}", "2")]
+    return argv + (["--target", "m2-syntax"] if command == "export" else [])
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, command):
+    one, full = cli.build_parser(command), cli.build_parser()
+    argvs = [
+        [command, "--help"],
+        [command],  # missing required flags: the subcommand's usage
+        [command, "--s", "four"],
+        _sample_argv(command) + ["surplus"],  # unrecognized arguments: the top-level usage
+        _sample_argv(command) + ["--format", "yaml"],
+    ]
+    for argv in argvs:
+        printed = []
+        for parser in (one, full):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            printed.append((exc.value.code, capsys.readouterr()))
+        assert printed[0] == printed[1], argv
+        assert printed[0][1].out or printed[0][1].err
+
+
 def test_env_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("STARCONFIG_POWER_CAP", "7")
     code, _, _ = run(capsys, ["containment", "--s", "5", "--c", "3", "--m", "2", "--r", "7"])
@@ -299,6 +376,15 @@ def test_env_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("STARCONFIG_POWER_CAP", "bananas")
     code, _, err = run(capsys, ["containment", "--s", "5", "--c", "3", "--m", "2", "--r", "2"])
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, fmt):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, GOLDEN_COMMANDS["scan_4_2.json"] + ["--format", fmt, "--output", str(target)])
+    assert code == 2 and out == "" and not target.exists()
+    reason = json.loads(err)["error"]["reason"] if fmt == "json" else err.removeprefix("error (usage): ")
+    assert "No such file or directory" in reason and "\n" not in reason.strip()
 
 
 def test_output_file(tmp_path, capsys):
