@@ -9,7 +9,7 @@ Exit codes: 0 computed/verified, 1 theorem check failed (witness printed),
 2 usage error, 3 resource cap exceeded.
 
 Environment variables override default caps: STARCONFIG_ENUM_CAP (symbolic
-power enumeration), STARCONFIG_DEGREE_CAP (h-vector degree cap),
+power enumeration), STARCONFIG_DEGREE_CAP (h-vector degree, no default),
 STARCONFIG_POWER_CAP (ordinary-power exponent cap in containment commands).
 
 The parser holds only the subcommand named on the command line, and each

@@ -68,9 +68,6 @@ class MonomialIdeal(Record):
     def is_unit(self) -> bool:
         return bool(self.gens) and sum(self.gens[0]) == 0
 
-    def max_gen_degree(self) -> int:
-        return max((sum(g) for g in self.gens), default=0)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "(0)"

@@ -69,7 +69,7 @@ def _form_str(coeffs: tuple[Fraction, ...]) -> str:
 
 
 def export_cas(
-    s: int, c: int, ell: int, target: str, forms: list[tuple[Fraction, ...]]
+    s: int, c: int, ell: int, target: str, forms: list[tuple[Fraction, ...]] | None
 ) -> str:
     """Emit a script for an external computer-algebra system.
 
@@ -77,14 +77,15 @@ def export_cas(
     hyperplanes over the rationals, its ell-th power, and the conjectured
     intersection of symbolic powers, and prints whether they are equal.
     The number of variables is the length of the coefficient tuples; the
-    forms must number s > n.
+    forms must number s > n.  forms None means the coordinate hyperplanes
+    (n = s-1), built only once every check has passed.
     """
     if target not in ("m2-syntax", "singular-syntax"):
         raise UsageError(f"unknown export target {target!r}")
-    if len(forms) != s:
+    if forms is not None and len(forms) != s:
         raise UsageError(f"expected {s} linear forms, got {len(forms)}")
     config.check_ell(ell)
-    n = len(forms[0]) - 1
+    n = s - 1 if forms is None else len(forms[0]) - 1
     if n < 1:
         raise UsageError("forms must have at least 2 coefficients")
     if s <= n:
@@ -92,9 +93,14 @@ def export_cas(
     config.StarConfig(s, c)  # range validation for c
     if c > n:
         raise UsageError(f"codimension c={c} exceeds the ambient dimension n={n}")
-    listed = sum(comb(s, k) for k in range(c, n + 1))
-    if listed > config.DEFAULT_ENUM_CAP:
-        raise ResourceCapError(f"the script lists {listed} subsets of forms, cap is {config.DEFAULT_ENUM_CAP}")
+    listed = 0
+    for k in range(n, c - 1, -1):  # C(s, n) >= s comes first, so a huge s stops at once
+        listed += comb(s, k)
+        if listed > config.DEFAULT_ENUM_CAP:
+            raise ResourceCapError(
+                f"the script lists at least {listed} subsets of forms, cap is {config.DEFAULT_ENUM_CAP}"
+            )
+    forms = coordinate_forms(s) if forms is None else forms
     m_exp = (s - c + 1) * ell
     m2 = target == "m2-syntax"
     comment = "--" if m2 else "//"

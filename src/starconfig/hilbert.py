@@ -8,8 +8,9 @@ classical pivot recursion
     K(I) = K(I + (x_i)) + t * K(I : x_i)
 
 with coprime generator blocks split multiplicatively.  For the skeleton
-ideals and their symbolic powers K has a closed form (symbolic_numerator)
-that builds no ideal; the recursion stays the oracle it is tested against.
+ideals and their symbolic powers the h-polynomial K(t)/(1-t)^c has a closed
+form (symbolic_h_vector) that builds no ideal; the recursion stays the oracle
+it is tested against.
 All arithmetic is exact integer arithmetic; the numerator is a finite
 polynomial whose degree is bounded by the degree of the lcm of the
 generators.
@@ -18,7 +19,9 @@ generators.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, lgamma, log
+from itertools import accumulate
+from math import comb
+from operator import sub
 
 from . import config
 from .errors import ResourceCapError, UsageError
@@ -43,9 +46,7 @@ def _poly_trim(coeffs: list[int]) -> tuple[int, ...]:
 
 
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)  # empty, and so trimmed to (), when a or b is
     for i, x in enumerate(a):
         if x == 0:
             continue
@@ -113,153 +114,112 @@ def hilbert_function(ideal: ex.MonomialIdeal, d: int) -> int:
     return sum(c * comb(d - j + s - 1, s - 1) for j, c in enumerate(k) if j <= d)
 
 
-def _degree_cap(top: int) -> int:
-    """The default degree cap of an ideal whose largest generator degree is top."""
-    return 4 * (1 + top)
-
-
 def h_vector(ideal: ex.MonomialIdeal, c: int, d_cap: int | None = None) -> HVector:
     """The h-vector: the (s-c)-th first difference of the Hilbert function.
 
     The differenced sequence has generating series K(t)/(1-t)^c, so it
     stabilizes at zero exactly when (1-t)^c divides the numerator, and the
     entries are the quotient coefficients.  A non-stabilizing sequence (the
-    ideal does not define codimension c) or an h-vector past the degree cap
-    raises ResourceCapError.  This runs the pivot recursion on the built
-    ideal; for a skeleton symbolic power call symbolic_h_vector, which
-    builds no ideal.
+    ideal does not define codimension c) or an h-vector of degree past d_cap
+    (None: no limit) raises ResourceCapError.  This runs the pivot recursion
+    on the built ideal; for a skeleton symbolic power call symbolic_h_vector,
+    which builds no ideal.
     """
     s = ideal.arity
     if not 1 <= c <= s:
         raise UsageError(f"codimension must satisfy 1 <= c <= {s}, got {c}")
-    cap = _degree_cap(ideal.max_gen_degree()) if d_cap is None else d_cap
-    return _h_vector_from_numerator(_numerator(ideal), c, cap)
-
-
-def _h_vector_from_numerator(numerator: tuple[int, ...], c: int, cap: int) -> HVector:
-    """Divide K(t) by (1-t)^c, refusing an h-vector past the degree cap or a nonzero remainder."""
-    entries = list(numerator)
-    if len(entries) - 1 - c > cap:
-        raise ResourceCapError(f"h-vector has degree {len(entries) - 1 - c}, cap is {cap}")
+    entries = list(_numerator(ideal))
+    if d_cap is not None and len(entries) - 1 - c > d_cap:
+        raise ResourceCapError(f"h-vector has degree {len(entries) - 1 - c}, cap is {d_cap}")
     for _ in range(c):
         if sum(entries) != 0:  # remainder of division by (1-t)
             raise ResourceCapError(
                 f"h-vector entries fail to stabilize at zero; is the ideal of codimension {c}?"
             )
-        total = 0
-        quotient = []
-        for coeff in entries[:-1]:
-            total += coeff
-            quotient.append(total)
-        entries = quotient
-    while entries and entries[-1] == 0:
-        entries.pop()
-    return HVector(tuple(entries), c)
-
-
-def _log2_comb(n: int, k: int) -> float:
-    """log2 of C(n, k), from lgamma so that huge arguments cost nothing."""
-    return (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(2)
+        entries = list(accumulate(entries[:-1]))
+    return HVector(_poly_trim(entries), c)
 
 
 def _symbolic_work(s: int, c: int, ell: int) -> int:
-    """Word operations of symbolic_numerator: coefficient operations times words per coefficient.
+    """Word operations of symbolic_h_vector: coefficient operations times 64-bit words per coefficient.
 
-    About c * ell * (ell+1) * (s-c+2) coefficient operations, each on
-    integers no longer than the K(t) bound C(s,c) * C(ell-1+c,c) * 2^c.
+    The first terms (each v's c-1 spread updates and p = c-1 product, the
+    product of N by (1-t)^c and the ell*(s-c+1)+c coefficients of K) are
+    checked before any binomial or loop over v, so a huge s or ell is refused
+    at once.  The words are those of C(s,c) * C(ell-1+c,c) * 2^c, which
+    bounds K's coefficients.
     """
-    ops = c * ell * (ell + 1) * (s - c + 2)
-    if ops > config.DEFAULT_ENUM_CAP:  # refused anyway; keeps lgamma's arguments in float range
+    width = s - c + 1
+    ops = (c - 1 + width) * ell * (ell - 1) // 2 + (c + 2) * ell * width + c
+    if ops > config.DEFAULT_ENUM_CAP:
         return ops
-    bits = _log2_comb(s, c) + _log2_comb(ell - 1 + c, c) + c
-    return ops * (1 + int(bits) // 64)
+    for v in range(1, ell):  # the products of the blocks p = c-k for k = 2 .. min(c, (ell-1) // v)
+        k = min(c, (ell - 1) // v)
+        ops += width * ((k - 1) * ell - v * (k * (k + 1) // 2 - 1))
+    bits = (comb(s, c) * comb(ell - 1 + c, c)).bit_length() + c
+    return ops * (1 + bits // 64)
 
 
-def _placements(s: int, c: int, k: int) -> tuple[int, ...]:
-    """C(p, k-1) * C(s-1-p, c-k) for p = k-1 .. s-c+k-1, each from the last by one ratio step."""
-    a, b = 1, comb(s - k, c - k)
-    out = [a * b]
-    for p in range(k - 1, s - c + k - 1):
-        a = a * (p + 1) // (p + 2 - k)
-        b = b * (s - 1 - p - c + k) // (s - 1 - p)
-        out.append(a * b)
-    return tuple(out)
-
-
-def symbolic_numerator(cfg: config.StarConfig, ell: int) -> tuple[int, ...]:
-    """The Hilbert-series numerator K(t) of R/I^(ell) in closed form, building no ideal.
+def symbolic_h_vector(cfg: config.StarConfig, ell: int, d_cap: int | None = None) -> HVector:
+    """The h-vector of R/I^(ell) in closed form, building no ideal.
 
     Counting argument.  A monomial x^a is standard (lies outside I^(ell))
-    iff its c smallest exponents sum to less than ell.  Order the positions
-    by (a_i, i) and let S be the first c of them, M the largest exponent on
-    S, and p the largest index in S with a_p = M; k-1 members of S have
-    an index below p and c-k an index above it, so S can be chosen in
-    C(p, k-1) * C(s-1-p, c-k) ways.  Given S and a_S, a position j outside S
-    keeps S first exactly when a_j > M for j < p and a_j >= M for j > p, so
-    the p-k+1 outside positions below p each contribute t^(M+1)/(1-t) and the
-    rest t^M/(1-t).  On S, the members below p range over 0..M, those above
-    over 0..M-1, and the total stays below ell.  Hence the h-polynomial is
+    iff its c smallest exponents sum to less than ell.  Sort the exponents;
+    let v be the c-th smallest and p < c the number below v.  Those p
+    entries, at C(s,p) choices of places, lie in [0, v-1] and sum to less
+    than ell-(c-p)v: they give C(s,p) T_{p,v}(t), with T_{p,v} the power
+    (1+t+...+t^(v-1))^p cut below that degree (so p = 0 at v = 0).  The
+    other s-p entries, less v each, form a tuple of N^(s-p) with at least
+    c-p zeros.  Put its (c-p)-th zero at place c-p+j, j <= s-c: the j
+    nonzero places before it are chosen in C(c-p-1+j, j) ways and give
+    t/(1-t) each, the s-c places after it 1/(1-t) each.  So the Hilbert
+    series is N(t)/(1-t)^c with
 
-        N(t) = sum_{M<ell} sum_{k<=c} trunc_{<ell}(P_{<=M}^(k-1) t^M P_{<M}^(c-k))
-               * t^(M(s-c)) * sum_p C(p,k-1) C(s-1-p,c-k) t^(p-k+1)
+        N(t) = sum_{v<ell} sum_{p<c} C(s,p) t^(v(s-p)) T_{p,v}(t) H_p(t),
+        H_p(t) = sum_{j<=s-c} C(c-p-1+j, j) t^j,
 
-    with P_{<=M} = 1+t+...+t^M and P_{<M} = 1+t+...+t^(M-1), and
-    K(t) = N(t) * (1-t)^c.  When the work estimate of _symbolic_work passes
-    config.DEFAULT_ENUM_CAP it raises ResourceCapError before allocating
-    anything.
+    and N is the h-polynomial (at ell = 1 the generic h-vector H_0).  No
+    term of N is negative, and the term p = c-1, v = ell-1 (p = v = 0 at
+    ell = 1) ends in degree ell(s-c+1)-1, the h-vector's degree: a d_cap
+    below it (None: no limit) is refused first, then a _symbolic_work past
+    config.DEFAULT_ENUM_CAP, both before anything is allocated.
     """
     config.check_ell(ell)
     s, c = cfg.s, cfg.c
+    width = s - c + 1
+    if d_cap is not None and ell * width - 1 > d_cap:
+        raise ResourceCapError(f"h-vector has degree {ell * width - 1}, cap is {d_cap}")
     work = _symbolic_work(s, c, ell)
     if work > config.DEFAULT_ENUM_CAP:
         raise ResourceCapError(
             f"closed-form Hilbert numerator needs about {work} word operations, "
             f"cap is {config.DEFAULT_ENUM_CAP}"
         )
-    width = s - c + 1
-    # parts[k-1] = sum over M of t^(M*width) * trunc_{<ell-M}(P_{<=M}^(k-1) P_{<M}^(c-k))
-    parts = [[0] * ((ell - 1) * width + 1) for _ in range(c)]
-    parts[c - 1][0] = 1  # M = 0: every member of S is 0, and P_{<0} = 0 forces k = c
-    for m in range(1, ell):
-        top = ell - m
-        f = [1] + [0] * (top - 1)
-        for _ in range(c - 1):  # times P_{<M}, a sliding window sum
-            acc = 0
-            out = []
-            for i in range(top):
-                acc += f[i] - (f[i - m] if i >= m else 0)
-                out.append(acc)
-            f = out
-        for k in range(1, c + 1):
-            if k > 1:  # trade one factor P_{<M} for P_{<=M}: times (1-t^(M+1)) / (1-t^M)
-                f = [f[i] - (f[i - m - 1] if i > m else 0) for i in range(top)]
-                for i in range(m, top):
-                    f[i] += f[i - m]
-            row = parts[k - 1]
-            for i, x in enumerate(f, m * width):
-                row[i] += x
+    rows = {p: [comb(c - p - 1 + j, j) for j in range(width)] for p in range(c) if p == 0 or p > c - ell}
     n = [0] * (ell * width)
-    for k in range(1, c + 1):
-        part = _poly_trim(parts[k - 1])
-        if not part:  # ell = 1 leaves only k = c
-            continue
-        for i, x in enumerate(_poly_mul(part, _placements(s, c, k))):
-            n[i] += x
-    one_minus_t = [1]  # (1-t)^c, each coefficient from the last
-    for i in range(c):
-        one_minus_t.append(-one_minus_t[-1] * (c - i) // (i + 1))
-    return _poly_mul(_poly_trim(n), tuple(one_minus_t))
+    for v in range(ell):
+        spread = [1] + [0] * (ell - v - 1)  # (1+t+...+t^(v-1))^p below degree ell-v
+        for p in range(c if v else 1):
+            if p:  # times (1-t^v)/(1-t)
+                spread = list(accumulate(map(sub, spread, [0] * v + spread)))
+            top = ell - (c - p) * v
+            if top > 0:
+                weight = comb(s, p)
+                for i, x in enumerate(_poly_mul(spread[:top], rows[p]), v * (s - p)):
+                    n[i] += weight * x
+    return HVector(_poly_trim(n), c)
 
 
-def symbolic_h_vector(cfg: config.StarConfig, ell: int, d_cap: int | None = None) -> HVector:
-    """The h-vector of R/I^(ell) from the closed-form numerator.
+def symbolic_numerator(cfg: config.StarConfig, ell: int) -> tuple[int, ...]:
+    """The Hilbert-series numerator K(t) = N(t) (1-t)^c of R/I^(ell), N from symbolic_h_vector.
 
-    The default degree cap is that of I^(ell) in h_vector, whose top
-    generator degree is omega_symbolic_formula.
+    At ell = 1 the binomial theorem turns it into 1 - sum_{q<c} C(s,q) t^(s-q) (1-t)^q.
     """
-    k = symbolic_numerator(cfg, ell)
-    cap = _degree_cap(config.omega_symbolic_formula(cfg, ell)) if d_cap is None else d_cap
-    return _h_vector_from_numerator(k, cfg.c, cap)
+    n = symbolic_h_vector(cfg, ell).entries  # first, so that a refusal costs nothing
+    one_minus_t = [1]  # (1-t)^c, each coefficient from the last
+    for i in range(cfg.c):
+        one_minus_t.append(-one_minus_t[-1] * (cfg.c - i) // (i + 1))
+    return _poly_mul(n, one_minus_t)
 
 
 def generic_hvector(s: int, c: int) -> HVector:

@@ -162,8 +162,19 @@ def check_lemma_contain(cfg: StarConfig) -> bool:
     return symbolic_member((0,) * (cfg.c - 2) + (1,) * (cfg.s - cfg.c + 2), cfg, 2)
 
 
+def _check_vertex_count(v: int) -> None:
+    """Refuse a complex on more than MATROID_VERTEX_CAP vertices, whose face-set checks list 2^v masks."""
+    if v > MATROID_VERTEX_CAP:
+        raise ResourceCapError(f"face-set checks are capped at {MATROID_VERTEX_CAP} vertices, got {v}")
+
+
 def skeleton_complex(cfg: StarConfig) -> SimplicialComplex:
-    """The complete complex whose facets are all (s-c)-subsets of the s vertices."""
+    """The complete complex whose facets are all (s-c)-subsets of the s vertices.
+
+    Only the face-set checks take a complex, so an s past their vertex cap is
+    refused before any facet is listed.
+    """
+    _check_vertex_count(cfg.s)
     facets = tuple(itertools.combinations(range(cfg.s), cfg.s - cfg.c))
     return SimplicialComplex(cfg.s, facets)
 
@@ -174,9 +185,7 @@ def _face_masks(complex_: SimplicialComplex) -> frozenset[int]:
 
     Cached per complex, so is_matroid and stanley_reisner_ideal share one build.
     """
-    v = complex_.vertex_count
-    if v > MATROID_VERTEX_CAP:
-        raise ResourceCapError(f"face-set checks are capped at {MATROID_VERTEX_CAP} vertices, got {v}")
+    _check_vertex_count(complex_.vertex_count)
     faces: set[int] = set()
     for f in complex_.facets:
         top = sub = sum(1 << x for x in f)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cli_cases import GOLDEN_COMMANDS
-from starconfig import cli, decomp, resolution, star
+from starconfig import cli, decomp, export, resolution, star
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -87,6 +87,13 @@ def test_hb_computes_the_minors_once(capsys, monkeypatch):
 def test_betti_refuses_before_listing_the_shape(capsys, monkeypatch):
     calls = count_calls(monkeypatch, resolution, "ss_resolution")
     code, out, err = run(capsys, ["betti", "--s", "3000", "--c", "1500"])
+    assert code == 3 and out == "" and "resource-cap" in err
+    assert calls == []
+
+
+def test_export_refuses_before_building_the_forms(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, export, "coordinate_forms")
+    code, out, err = run(capsys, ["export", "--s", "3000", "--c", "1", "--ell", "1", "--target", "m2-syntax"])
     assert code == 3 and out == "" and "resource-cap" in err
     assert calls == []
 
@@ -187,6 +194,7 @@ def test_betti_14_7_is_checked(capsys):
         # few coefficients, but each about 3000 bits long
         ["hvector", "--s", "3000", "--c", "1500"],
         ["hvector", "--s", str(10**400), "--c", "2"],
+        ["hvector", "--s", "4", "--c", "2", "--ell", str(10**400)],
         ["skeleton", "--s", str(10**400), "--c", "2"],
         # few shapes, but about 2.4e11 arrangements to list
         ["symbolic", "--s", "40", "--c", "20", "--ell", "2"],
@@ -197,6 +205,12 @@ def test_betti_14_7_is_checked(capsys):
         ["skeleton", "--s", "2000", "--c", "1999"],
         # about 6.1e8 subsets of forms in the script
         ["export", "--s", "30", "--c", "15", "--ell", "1", "--target", "m2-syntax"],
+        # about 2^6000 subsets: the count stops past the cap, before the 6000 default forms are built
+        ["export", "--s", "6000", "--c", "1", "--ell", "1", "--target", "m2-syntax"],
+        ["export", "--s", str(10**400), "--c", "1", "--ell", "1", "--target", "m2-syntax"],
+        # past the vertex cap, refused before the 10.4 million or C(100000, 2) facets are listed
+        ["matroid", "--s", "26", "--c", "13"],
+        ["matroid", "--s", "100000", "--c", "2"],
         # (ell+3)^s is never evaluated, and no list of s steps is built
         ["wk", "--s", str(10**400), "--ell", "1"],
         # the closed-form numerator's work check runs before the resolution shape is listed
@@ -219,7 +233,7 @@ def test_huge_hvector_is_refused_fast(capsys, argv):
 
 @pytest.mark.parametrize("command", ["skeleton", "hvector"])
 def test_degree_cap_bounds_the_h_vector(capsys, command):
-    # K(t) has degree 20, but the h-vector [1, 19] has degree 1, under the cap of 12
+    # K(t) has degree 20, but the h-vector [1, 19] has degree 1; no degree cap applies by default
     code, out, _ = run(capsys, [command, "--s", "20", "--c", "19", "--format", "json"])
     assert code == 0
     assert json.loads(out)["h_vector"] == [1, 19]
