@@ -21,30 +21,22 @@ _EXPORTS = {
         "MonomialIdeal",
         "alpha",
         "colon",
-        "colon_ideal",
-        "contains",
-        "divides",
         "equals",
         "ideal_sum",
         "intersect",
         "intersect_many",
-        "member",
         "minimalize",
         "multiply",
         "omega",
         "power",
-        "saturate",
         "unit_ideal",
         "variable_ideal",
-        "zero_ideal",
     ),
     "hilbert": (
         "HVector",
         "bdg_hf_check",
-        "degree",
         "generic_hvector",
         "h_vector",
-        "hilbert_function",
         "ss_hvector_formula",
         "symbolic_h_vector",
         "symbolic_numerator",
@@ -53,7 +45,6 @@ _EXPORTS = {
         "ResolutionShape",
         "SparsePoly",
         "SymbolicMatrix",
-        "determinant",
         "en_rank",
         "euler_check",
         "expected_minor_monomials",
@@ -71,17 +62,13 @@ _EXPORTS = {
         "stanley_reisner_ideal",
         "symbolic_member",
         "symbolic_power",
-        "symbolic_power_by_intersection",
         "wk_ideal",
         "wk_step_check",
     ),
     "decomp": (
         "ContainmentReport",
         "criterion",
-        "irrelevant_ideal",
-        "irrelevant_power",
         "resurgence_scan",
-        "rhs_decomposition",
         "rho_exact",
         "symbolic_in_power",
         "verify_power_decomposition",

@@ -1,6 +1,6 @@
 """Primary decomposition of powers, saturation, containment, and resurgence.
 
-For the monomial skeleton in P^{N+1-1} (s = N+1 coordinate hyperplanes), the
+For the monomial skeleton in P^N (s = N+1 coordinate hyperplanes), the
 l-th ordinary power of the codimension-c skeleton ideal decomposes as the
 intersection of symbolic powers of the higher-codimension skeletons and a
 power of the irrelevant ideal; the saturation drops the irrelevant factor.
@@ -34,48 +34,8 @@ DECOMP_L_CAP = 3
 SCAN_CELL_CAP = 100_000
 
 
-def irrelevant_ideal(s: int) -> ex.MonomialIdeal:
-    """The ideal generated by all s variables."""
-    from . import exponents as ex
-
-    return ex.variable_ideal(s, range(s))
-
-
-def irrelevant_power(s: int, t: int) -> ex.MonomialIdeal:
-    """The t-th power of the irrelevant ideal: all monomials of degree t."""
-    if t < 0:
-        raise UsageError(f"power must be nonnegative, got {t}")
-    from . import exponents as ex
-
-    return ex.MonomialIdeal(s, tuple(sorted(ex.monomials_of_degree(s, t), key=ex.grlex_key)))
-
-
 def _default_r_cap(s: int) -> int:
     return DEFAULT_R_CAPS.get(s, DEFAULT_R_CAP_LARGE if s > 5 else 10)
-
-
-@lru_cache(maxsize=32)
-def _symbolic_intersection(s: int, c: int, ell: int) -> ex.MonomialIdeal:
-    """The intersection of the ((j+1)*ell)-th symbolic powers of the codimension-(c+j) skeletons, j = 0..N-c."""
-    from . import exponents as ex, star
-
-    return ex.intersect_many(
-        star.symbolic_power(star.StarConfig(s, c + j), (j + 1) * ell) for j in range(s - c)
-    )
-
-
-def rhs_decomposition(s: int, c: int, ell: int) -> ex.MonomialIdeal:
-    """The conjectured decomposition of the ell-th power of the skeleton ideal.
-
-    Intersects the ((j+1)*ell)-th symbolic powers of the codimension-(c+j)
-    skeletons for j = 0..N-c (N = s-1), then the (N-c+2)*ell-th power of the
-    irrelevant ideal.
-    """
-    from . import exponents as ex
-
-    config.check_ell(ell)
-    # the irrelevant factor: intersect with M^t via degree truncation
-    return ex.truncate_to_degree(_symbolic_intersection(s, c, ell), (s - c + 1) * ell)
 
 
 def _check_decomp(check: str, s: int, c: int, ell: int, s_cap: int, l_cap: int) -> None:
@@ -88,7 +48,7 @@ def _check_decomp(check: str, s: int, c: int, ell: int, s_cap: int, l_cap: int) 
         raise ResourceCapError(f"{check} check scans {tuples} exponent tuples, cap is {config.DEFAULT_ENUM_CAP}")
 
 
-def _box_memberships(a: ex.Exponent, c: int, ell: int) -> tuple[bool, bool, bool, bool]:
+def _box_memberships(a: tuple[int, ...], c: int, ell: int) -> tuple[bool, bool, bool, bool]:
     """For nondecreasing a: is x^a in I^ell, the symbolic intersection, M^(d*ell), I^ell : M^inf?"""
     d = len(a) - c + 1
     capped = [min(e, ell) for e in a]
@@ -131,7 +91,7 @@ def _decomp_verdicts(s: int, c: int, ell: int) -> tuple[bool, bool]:
 def verify_power_decomposition(
     s: int, c: int, ell: int, s_cap: int = DECOMP_S_CAP, l_cap: int = DECOMP_L_CAP
 ) -> bool:
-    """Whether the ell-th ordinary power equals its symbolic-power decomposition (rhs_decomposition)."""
+    """Whether the ell-th ordinary power equals its symbolic-power decomposition (see _decomp_verdicts)."""
     _check_decomp("decomposition", s, c, ell, s_cap, l_cap)
     return _decomp_verdicts(s, c, ell)[0]
 
@@ -264,10 +224,7 @@ __all__ = [
     "DECOMP_S_CAP",
     "SCAN_CELL_CAP",
     "criterion",
-    "irrelevant_ideal",
-    "irrelevant_power",
     "resurgence_scan",
-    "rhs_decomposition",
     "rho_exact",
     "symbolic_in_power",
     "verify_power_decomposition",

@@ -15,3 +15,6 @@ class ResourceCapError(RuntimeError):
 
 class TheoremViolation(AssertionError):
     """A verified identity failed; the message carries a concrete witness."""
+
+
+__all__ = ["ResourceCapError", "TheoremViolation", "UsageError"]

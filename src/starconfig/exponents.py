@@ -74,10 +74,6 @@ class MonomialIdeal(Record):
         return "(" + ", ".join(monomial_str(g) for g in self.gens) + ")"
 
 
-def zero_ideal(arity: int) -> MonomialIdeal:
-    return MonomialIdeal(arity, ())
-
-
 def unit_ideal(arity: int) -> MonomialIdeal:
     return MonomialIdeal(arity, ((0,) * arity,))
 
@@ -90,13 +86,6 @@ def variable_ideal(arity: int, indices: Iterable[int]) -> MonomialIdeal:
             raise UsageError(f"variable index {i} out of range for arity {arity}")
         gens.append(tuple(int(j == i) for j in range(arity)))
     return minimalize(arity, gens)
-
-
-def divides(a: Exponent, b: Exponent) -> bool:
-    """True iff monomial a divides monomial b (componentwise <=)."""
-    if len(a) != len(b):
-        raise UsageError(f"arity mismatch: {len(a)} vs {len(b)}")
-    return all(x <= y for x, y in zip(a, b))
 
 
 def minimalize(arity: int, tuples: Iterable[Exponent]) -> MonomialIdeal:
@@ -121,12 +110,6 @@ def minimalize(arity: int, tuples: Iterable[Exponent]) -> MonomialIdeal:
         if not any(all(x <= y for x, y in zip(g, t)) for g in kept[:limit]):
             kept.append(t)
     return MonomialIdeal(arity, tuple(kept))
-
-
-def member(mu: Exponent, ideal: MonomialIdeal) -> bool:
-    """True iff the monomial mu lies in the ideal (some generator divides it)."""
-    _check_exponent(mu, ideal.arity)
-    return any(all(x <= y for x, y in zip(g, mu)) for g in ideal.gens)
 
 
 def _check_same_arity(a: MonomialIdeal, b: MonomialIdeal) -> None:
@@ -191,40 +174,6 @@ def colon(ideal: MonomialIdeal, mu: Exponent) -> MonomialIdeal:
     return minimalize(ideal.arity, quots)
 
 
-def colon_ideal(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """The colon ideal (a : b), intersecting colons over the generators of b.
-
-    (a : (0)) is the unit ideal.
-    """
-    _check_same_arity(a, b)
-    if b.is_zero:
-        return unit_ideal(a.arity)
-    return intersect_many(colon(a, g) for g in b.gens)
-
-
-def saturate(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """The saturation of a with respect to b: iterate (a : b) to a fixed point."""
-    _check_same_arity(a, b)
-    if b.is_zero:
-        raise UsageError("cannot saturate by the zero ideal")
-    current = a
-    while True:
-        nxt = colon_ideal(current, b)
-        if nxt == current:
-            return current
-        current = nxt
-
-
-def contains(a: MonomialIdeal, b: MonomialIdeal) -> bool:
-    """True iff b is contained in a (every generator of b is a member of a)."""
-    _check_same_arity(a, b)
-    if b.is_zero or a.is_unit:
-        return True
-    if a.is_zero:
-        return False
-    return all(member(g, a) for g in b.gens)
-
-
 def equals(a: MonomialIdeal, b: MonomialIdeal) -> bool:
     """Ideal equality; canonical storage makes this generator-list comparison."""
     _check_same_arity(a, b)
@@ -245,68 +194,21 @@ def omega(ideal: MonomialIdeal) -> int:
     return sum(ideal.gens[-1])
 
 
-def truncate_to_degree(ideal: MonomialIdeal, t: int) -> MonomialIdeal:
-    """The intersection of the ideal with the t-th power of the irrelevant ideal.
-
-    Each generator of degree < t is padded up to degree t in every possible
-    way; this produces the same ideal as intersecting with the ideal of all
-    degree-t monomials, without the quadratic lcm blow-up.
-    """
-    if t < 0:
-        raise UsageError(f"degree bound must be nonnegative, got {t}")
-    s = ideal.arity
-    out: set[Exponent] = set()
-    for g in ideal.gens:
-        gap = t - sum(g)
-        if gap <= 0:
-            out.add(g)
-            continue
-        for pad in compositions(gap, s):
-            out.add(tuple(x + y for x, y in zip(g, pad)))
-    return minimalize(s, out)
-
-
-def compositions(total: int, parts: int, bound: int | None = None):
-    """Yield all tuples of `parts` nonnegative integers summing to `total`, each <= bound if given."""
-    top = total if bound is None else min(bound, total)
-    if parts == 1:
-        if total <= top:
-            yield (total,)
-        return
-    for first in range(top + 1):
-        for rest in compositions(total - first, parts - 1, bound):
-            yield (first,) + rest
-
-
-def monomials_of_degree(arity: int, d: int):
-    """Yield all exponent tuples of total degree d, in no particular order."""
-    return compositions(d, arity)
-
-
 __all__ = [
     "Exponent",
     "MonomialIdeal",
     "alpha",
     "colon",
-    "colon_ideal",
-    "compositions",
-    "contains",
-    "divides",
     "equals",
     "grlex_key",
     "ideal_sum",
     "intersect",
     "intersect_many",
-    "member",
     "minimalize",
     "monomial_str",
-    "monomials_of_degree",
     "multiply",
     "omega",
     "power",
-    "saturate",
-    "truncate_to_degree",
     "unit_ideal",
     "variable_ideal",
-    "zero_ideal",
 ]

@@ -44,12 +44,22 @@ def parse_forms(text: str) -> list[tuple[Fraction, ...]]:
 
 
 def _pairwise_dependent(forms: list[tuple[Fraction, ...]]) -> list[tuple[int, int]]:
-    # a pair is dependent iff its 2 x (n+1) matrix has rank < 2: all its 2x2 minors vanish
-    return [
-        (i, j)
-        for (i, a), (j, b) in combinations(enumerate(forms), 2)
-        if all(a[p] * b[q] == a[q] * b[p] for p, q in combinations(range(len(a)), 2))
-    ]
+    """The pairs i < j of proportional forms, in order; a zero form is proportional to every form.
+
+    Nonzero forms are proportional iff they agree once each is divided by its
+    first nonzero coefficient, so they are grouped by that scaling.  The key
+    stays exact: Fractions divide exactly, and an int form (a coordinate
+    hyperplane) leads with 1 and is kept as it is.
+    """
+    groups: dict[tuple | None, list[int]] = {}
+    for i, f in enumerate(forms):
+        lead = next((x for x in f if x != 0), 0)
+        key = None if lead == 0 else f if lead == 1 else tuple(x / lead for x in f)
+        groups.setdefault(key, []).append(i)
+    zeros = groups.pop(None, [])
+    pairs = {pair for members in groups.values() for pair in combinations(members, 2)}
+    pairs.update((min(i, z), max(i, z)) for z in zeros for i in range(len(forms)) if i != z)
+    return sorted(pairs)
 
 
 def _coeff_str(q: Fraction) -> str:

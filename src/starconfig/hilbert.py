@@ -1,7 +1,7 @@
-"""Hilbert functions, h-vectors, degrees, and closed-form h-vector predictions.
+"""Hilbert-series numerators, h-vectors, degrees, and closed-form h-vector predictions.
 
 The Hilbert function of R/I counts standard monomials (monomials of a given
-degree not in I).  It is computed through the exact numerator K(t) of the
+degree not in I).  Its data come from the exact numerator K(t) of the
 Hilbert series K(t)/(1-t)^s.  For a generic monomial ideal K comes from the
 classical pivot recursion
 
@@ -103,15 +103,6 @@ def _numerator(ideal: ex.MonomialIdeal) -> tuple[int, ...]:
     for i, x in enumerate(b):
         out[i + 1] += x
     return _poly_trim(out)
-
-
-def hilbert_function(ideal: ex.MonomialIdeal, d: int) -> int:
-    """Number of monomials of degree d in s variables not lying in the ideal."""
-    if d < 0:
-        raise UsageError(f"degree must be nonnegative, got {d}")
-    s = ideal.arity
-    k = _numerator(ideal)
-    return sum(c * comb(d - j + s - 1, s - 1) for j, c in enumerate(k) if j <= d)
 
 
 def h_vector(ideal: ex.MonomialIdeal, c: int, d_cap: int | None = None) -> HVector:
@@ -242,15 +233,6 @@ def ss_hvector_formula(s: int, c: int) -> HVector:
     return HVector(tuple(entries), c)
 
 
-def degree(ideal: ex.MonomialIdeal, c: int) -> int:
-    """The scheme degree: sum of h-vector entries (the ideal must be unmixed of codimension c).
-
-    For a skeleton symbolic power, symbolic_h_vector(cfg, ell).total() gives
-    it without building the ideal.
-    """
-    return h_vector(ideal, c).total()
-
-
 def bdg_hf_check(
     i_s: ex.MonomialIdeal,
     i_c: ex.MonomialIdeal,
@@ -281,10 +263,8 @@ def bdg_hf_check(
 __all__ = [
     "HVector",
     "bdg_hf_check",
-    "degree",
     "generic_hvector",
     "h_vector",
-    "hilbert_function",
     "ss_hvector_formula",
     "symbolic_h_vector",
     "symbolic_numerator",

@@ -228,18 +228,6 @@ def hb_matrix(s: int, m: int) -> SymbolicMatrix:
     return SymbolicMatrix(rows, cols, tuple(tuple(row) for row in grid))
 
 
-def determinant(matrix: SymbolicMatrix) -> SparsePoly:
-    """Exact determinant by cofactor expansion along the sparsest row or column."""
-    if matrix.rows != matrix.cols:
-        raise UsageError(f"determinant of a {matrix.rows}x{matrix.cols} matrix is undefined")
-    if matrix.rows > DET_DIMENSION_CAP:
-        raise ResourceCapError(
-            f"determinant dimension {matrix.rows} exceeds the cap {DET_DIMENSION_CAP}"
-        )
-    arity = matrix.entries[0][0].arity if matrix.rows else 1
-    return _det_expand(matrix, tuple(range(matrix.rows)), tuple(range(matrix.cols)), {}, arity)
-
-
 def _det_expand(
     matrix: SymbolicMatrix,
     rows: tuple[int, ...],
@@ -337,7 +325,6 @@ __all__ = [
     "ResolutionShape",
     "SparsePoly",
     "SymbolicMatrix",
-    "determinant",
     "en_rank",
     "euler_check",
     "expected_minor_monomials",

@@ -41,14 +41,6 @@ class SimplicialComplex(Record):
                 raise UsageError(f"facet {f} is not a sorted duplicate-free tuple")
 
 
-def make_complex(vertex_count: int, facets) -> SimplicialComplex:
-    """Canonicalize facet sets (drop faces contained in other faces, sort)."""
-    sets = {frozenset(f) for f in facets}
-    maximal = [f for f in sets if not any(f < g for g in sets)]
-    canon = tuple(sorted(tuple(sorted(f)) for f in maximal))
-    return SimplicialComplex(vertex_count, canon)
-
-
 def skeleton_ideal(cfg: StarConfig) -> ex.MonomialIdeal:
     """The ideal of the codimension-c skeleton, I^(1): all squarefree monomials of degree s-c+1."""
     return symbolic_power(cfg, 1)
@@ -139,17 +131,6 @@ def _distinct_permutations(t: tuple[int, ...]):
             j -= 1
         a[i], a[j] = a[j], a[i]
         a[i + 1 :] = reversed(a[i + 1 :])
-
-
-def symbolic_power_by_intersection(cfg: StarConfig, ell: int) -> ex.MonomialIdeal:
-    """Cross-check oracle: intersect the ell-th powers of all component primes."""
-    check_ell(ell)
-    s, c = cfg.s, cfg.c
-    terms = (
-        ex.power(ex.variable_ideal(s, subset), ell)
-        for subset in itertools.combinations(range(s), c)
-    )
-    return ex.intersect_many(terms)
 
 
 def check_lemma_contain(cfg: StarConfig) -> bool:
@@ -310,14 +291,12 @@ __all__ = [
     "check_lemma_contain",
     "check_wk",
     "is_matroid",
-    "make_complex",
     "omega_symbolic_formula",
     "skeleton_complex",
     "skeleton_ideal",
     "stanley_reisner_ideal",
     "symbolic_member",
     "symbolic_power",
-    "symbolic_power_by_intersection",
     "symbolic_shapes",
     "wk_degree",
     "wk_ideal",

@@ -1,0 +1,206 @@
+"""Generic ideal machinery that the library answers by closed forms, kept as test oracles.
+
+Each function here is the generic path that a closed form or a structural
+theorem in `starconfig` replaced: divisibility and membership scans, colon
+ideals and saturation, degree truncation, the built right-hand side of the
+power decomposition, the symbolic power as an intersection of prime powers,
+the Hilbert function from the pivot recursion, and the 2x2-minor test for
+proportional linear forms.  No command reaches them; the tests compare the
+library against them.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from math import comb
+
+from starconfig import config, exponents as ex, star
+from starconfig.config import StarConfig, check_ell
+from starconfig.errors import UsageError
+from starconfig.exponents import (
+    Exponent,
+    MonomialIdeal,
+    _check_exponent,
+    _check_same_arity,
+    colon,
+    intersect_many,
+    minimalize,
+    unit_ideal,
+)
+from starconfig.hilbert import _numerator
+from starconfig.star import SimplicialComplex
+
+# --- monomial-ideal arithmetic (from starconfig.exponents) ---
+
+
+def zero_ideal(arity: int) -> MonomialIdeal:
+    return MonomialIdeal(arity, ())
+
+
+def divides(a: Exponent, b: Exponent) -> bool:
+    """True iff monomial a divides monomial b (componentwise <=)."""
+    if len(a) != len(b):
+        raise UsageError(f"arity mismatch: {len(a)} vs {len(b)}")
+    return all(x <= y for x, y in zip(a, b))
+
+
+def member(mu: Exponent, ideal: MonomialIdeal) -> bool:
+    """True iff the monomial mu lies in the ideal (some generator divides it)."""
+    _check_exponent(mu, ideal.arity)
+    return any(all(x <= y for x, y in zip(g, mu)) for g in ideal.gens)
+
+
+def colon_ideal(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
+    """The colon ideal (a : b), intersecting colons over the generators of b.
+
+    (a : (0)) is the unit ideal.
+    """
+    _check_same_arity(a, b)
+    if b.is_zero:
+        return unit_ideal(a.arity)
+    return intersect_many(colon(a, g) for g in b.gens)
+
+
+def saturate(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
+    """The saturation of a with respect to b: iterate (a : b) to a fixed point."""
+    _check_same_arity(a, b)
+    if b.is_zero:
+        raise UsageError("cannot saturate by the zero ideal")
+    current = a
+    while True:
+        nxt = colon_ideal(current, b)
+        if nxt == current:
+            return current
+        current = nxt
+
+
+def contains(a: MonomialIdeal, b: MonomialIdeal) -> bool:
+    """True iff b is contained in a (every generator of b is a member of a)."""
+    _check_same_arity(a, b)
+    if b.is_zero or a.is_unit:
+        return True
+    if a.is_zero:
+        return False
+    return all(member(g, a) for g in b.gens)
+
+
+def truncate_to_degree(ideal: MonomialIdeal, t: int) -> MonomialIdeal:
+    """The intersection of the ideal with the t-th power of the irrelevant ideal.
+
+    Each generator of degree < t is padded up to degree t in every possible
+    way; this produces the same ideal as intersecting with the ideal of all
+    degree-t monomials, without the quadratic lcm blow-up.
+    """
+    if t < 0:
+        raise UsageError(f"degree bound must be nonnegative, got {t}")
+    s = ideal.arity
+    out: set[Exponent] = set()
+    for g in ideal.gens:
+        gap = t - sum(g)
+        if gap <= 0:
+            out.add(g)
+            continue
+        for pad in compositions(gap, s):
+            out.add(tuple(x + y for x, y in zip(g, pad)))
+    return minimalize(s, out)
+
+
+def compositions(total: int, parts: int, bound: int | None = None):
+    """Yield all tuples of `parts` nonnegative integers summing to `total`, each <= bound if given."""
+    top = total if bound is None else min(bound, total)
+    if parts == 1:
+        if total <= top:
+            yield (total,)
+        return
+    for first in range(top + 1):
+        for rest in compositions(total - first, parts - 1, bound):
+            yield (first,) + rest
+
+
+def monomials_of_degree(arity: int, d: int):
+    """Yield all exponent tuples of total degree d, in no particular order."""
+    return compositions(d, arity)
+
+
+# --- the built power decomposition (from starconfig.decomp) ---
+
+
+def irrelevant_ideal(s: int) -> ex.MonomialIdeal:
+    """The ideal generated by all s variables."""
+    return ex.variable_ideal(s, range(s))
+
+
+def irrelevant_power(s: int, t: int) -> ex.MonomialIdeal:
+    """The t-th power of the irrelevant ideal: all monomials of degree t."""
+    if t < 0:
+        raise UsageError(f"power must be nonnegative, got {t}")
+    return ex.MonomialIdeal(s, tuple(sorted(monomials_of_degree(s, t), key=ex.grlex_key)))
+
+
+@lru_cache(maxsize=32)
+def _symbolic_intersection(s: int, c: int, ell: int) -> ex.MonomialIdeal:
+    """The intersection of the ((j+1)*ell)-th symbolic powers of the codimension-(c+j) skeletons, j = 0..N-c."""
+    return ex.intersect_many(
+        star.symbolic_power(star.StarConfig(s, c + j), (j + 1) * ell) for j in range(s - c)
+    )
+
+
+def rhs_decomposition(s: int, c: int, ell: int) -> ex.MonomialIdeal:
+    """The conjectured decomposition of the ell-th power of the skeleton ideal.
+
+    Intersects the ((j+1)*ell)-th symbolic powers of the codimension-(c+j)
+    skeletons for j = 0..N-c (N = s-1), then the (N-c+2)*ell-th power of the
+    irrelevant ideal.
+    """
+    config.check_ell(ell)
+    # the irrelevant factor: intersect with M^t via degree truncation
+    return truncate_to_degree(_symbolic_intersection(s, c, ell), (s - c + 1) * ell)
+
+
+# --- symbolic powers and complexes (from starconfig.star) ---
+
+
+def symbolic_power_by_intersection(cfg: StarConfig, ell: int) -> ex.MonomialIdeal:
+    """Cross-check oracle: intersect the ell-th powers of all component primes."""
+    check_ell(ell)
+    s, c = cfg.s, cfg.c
+    terms = (
+        ex.power(ex.variable_ideal(s, subset), ell)
+        for subset in itertools.combinations(range(s), c)
+    )
+    return ex.intersect_many(terms)
+
+
+def make_complex(vertex_count: int, facets) -> SimplicialComplex:
+    """Canonicalize facet sets (drop faces contained in other faces, sort)."""
+    sets = {frozenset(f) for f in facets}
+    maximal = [f for f in sets if not any(f < g for g in sets)]
+    canon = tuple(sorted(tuple(sorted(f)) for f in maximal))
+    return SimplicialComplex(vertex_count, canon)
+
+
+# --- Hilbert functions (from starconfig.hilbert) ---
+
+
+def hilbert_function(ideal: ex.MonomialIdeal, d: int) -> int:
+    """Number of monomials of degree d in s variables not lying in the ideal."""
+    if d < 0:
+        raise UsageError(f"degree must be nonnegative, got {d}")
+    s = ideal.arity
+    k = _numerator(ideal)
+    return sum(c * comb(d - j + s - 1, s - 1) for j, c in enumerate(k) if j <= d)
+
+
+# --- proportional linear forms (from starconfig.export) ---
+
+
+def pairwise_dependent_by_minors(forms: list[tuple[Fraction, ...]]) -> list[tuple[int, int]]:
+    # a pair is dependent iff its 2 x (n+1) matrix has rank < 2: all its 2x2 minors vanish
+    return [
+        (i, j)
+        for (i, a), (j, b) in combinations(enumerate(forms), 2)
+        if all(a[p] * b[q] == a[q] * b[p] for p, q in combinations(range(len(a)), 2))
+    ]

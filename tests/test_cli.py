@@ -5,10 +5,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from cli_cases import GOLDEN_COMMANDS
 from starconfig import cli, decomp, export, resolution, star
 
@@ -441,6 +445,37 @@ def test_export_warns_on_proportional_forms(capsys):
     ])
     assert code == 0
     assert "WARNING" in out and "0 and 1" in out
+
+
+COEFFICIENTS = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pairwise_dependent_matches_the_minor_test(data):
+    width = data.draw(st.integers(1, 4))
+    forms = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        kind = data.draw(st.sampled_from(["fresh", "zero", "scaled", "coordinate"]))
+        if kind == "zero":
+            forms.append((Fraction(0),) * width)
+        elif kind == "scaled" and forms:
+            scale = data.draw(COEFFICIENTS.filter(bool))
+            forms.append(tuple(scale * x for x in data.draw(st.sampled_from(forms))))
+        elif kind == "coordinate":  # an int form, as the default export builds them
+            k = data.draw(st.integers(0, width - 1))
+            forms.append(tuple(int(j == k) for j in range(width)))
+        else:
+            forms.append(tuple(data.draw(st.lists(COEFFICIENTS, min_size=width, max_size=width))))
+    assert export._pairwise_dependent(forms) == oracles.pairwise_dependent_by_minors(forms)
+
+
+def test_export_of_many_coordinate_forms_is_fast(capsys):
+    # the pairwise minor test took about 8 s here: C(160, 2) pairs of C(160, 2) minors each
+    start = time.monotonic()
+    code, out, _ = run(capsys, ["export", "--s", "160", "--c", "159", "--ell", "1", "--target", "m2-syntax"])
+    assert code == 0 and time.monotonic() - start < 1
+    assert "L159 = x159;" in out and "WARNING" not in out
 
 
 def test_export_malformed_forms(capsys):

@@ -1,6 +1,8 @@
 """The package surface: value records, and the lazily imported top-level names."""
 
 import doctest
+import importlib
+import pkgutil
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -58,6 +60,22 @@ def test_record_semantics(cls, fields, other, invalid, text):
     if invalid is not None:
         with pytest.raises(UsageError):
             cls(*invalid)
+
+
+def test_export_lists_name_what_their_modules_define():
+    for module_name, names in sc._EXPORTS.items():
+        module = importlib.import_module(f"starconfig.{module_name}")
+        for name in names:
+            assert name in module.__all__, (module_name, name)
+            assert getattr(sc, name) is getattr(module, name)
+    # a stale __all__ entry breaks `from starconfig.x import *`
+    listed = [info.name for info in pkgutil.walk_packages(sc.__path__, "starconfig.")]
+    modules = [sc] + [importlib.import_module(name) for name in listed]
+    assert set(listed) >= {f"starconfig.{name}" for name in sc._EXPORTS}
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)
+        exec(f"from {module.__name__} import *", {})
 
 
 def test_readme_example():

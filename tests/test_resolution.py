@@ -142,23 +142,26 @@ def test_hb_matrix_shapes():
 
 
 def test_determinant_basics():
+    # maximal_minors(m)[k] is the determinant of m without row k
     x = [SparsePoly.variable(3, i) for i in range(3)]
     zero = SparsePoly.zero(3)
-    diag = SymbolicMatrix(2, 2, ((x[0], zero), (zero, x[1])))
-    assert resolution.determinant(diag) == x[0] * x[1]
-    upper = SymbolicMatrix(2, 2, ((x[0], -x[0]), (zero, x[1])))
-    assert resolution.determinant(upper) == x[0] * x[1]
+    diag = SymbolicMatrix(3, 2, ((x[0], zero), (zero, x[1]), (zero, zero)))
+    assert resolution.maximal_minors(diag) == [zero, zero, x[0] * x[1]]
+    upper = SymbolicMatrix(3, 2, ((x[0], -x[0]), (zero, x[1]), (x[2], x[2])))
+    two = SparsePoly.monomial(3, (0, 0, 0), 2)
+    assert resolution.maximal_minors(upper) == [-(x[1] * x[2]), two * x[0] * x[2], x[0] * x[1]]
     with pytest.raises(UsageError):
-        resolution.determinant(SymbolicMatrix(1, 2, ((x[0], x[1]),)))
+        resolution.maximal_minors(SymbolicMatrix(1, 2, ((x[0], x[1]),)))
 
 
 def test_determinant_matches_leibniz_on_random_sparse():
+    # every row-deleted minor, all expanded through one shared memo, against the permutation sum
     rng = random.Random(20120325)
     for trial in range(30):
         n = rng.randint(1, 4)
         arity = rng.randint(1, 3)
         rows = []
-        for _ in range(n):
+        for _ in range(n + 1):
             row = []
             for _ in range(n):
                 if rng.random() < 0.4:
@@ -167,15 +170,17 @@ def test_determinant_matches_leibniz_on_random_sparse():
                     exp = tuple(rng.randint(0, 2) for _ in range(arity))
                     row.append(SparsePoly.monomial(arity, exp, rng.choice([-2, -1, 1, 2])))
             rows.append(tuple(row))
-        matrix = SymbolicMatrix(n, n, tuple(rows))
-        assert resolution.determinant(matrix) == leibniz_det(matrix), f"trial {trial}"
+        minors = resolution.maximal_minors(SymbolicMatrix(n + 1, n, tuple(rows)))
+        for k, minor in enumerate(minors):
+            square = SymbolicMatrix(n, n, tuple(rows[:k] + rows[k + 1 :]))
+            assert minor == leibniz_det(square), f"trial {trial}, row {k}"
 
 
 def test_determinant_cap():
     zero = SparsePoly.zero(1)
-    big = SymbolicMatrix(17, 17, tuple(tuple(zero for _ in range(17)) for _ in range(17)))
+    big = SymbolicMatrix(18, 17, tuple(tuple(zero for _ in range(17)) for _ in range(18)))
     with pytest.raises(ResourceCapError):
-        resolution.determinant(big)
+        resolution.maximal_minors(big)
 
 
 def test_maximal_minors_counts_and_families():
