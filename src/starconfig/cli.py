@@ -5,43 +5,50 @@ Every command builds a plain-dict report and renders it as text, json, or csv
 produce identical output regardless of the --jobs hint, which is validated
 but deliberately not echoed.
 
-Exit codes: 0 computed/verified, 1 theorem check failed (witness printed),
-2 usage error, 3 resource cap exceeded.
+Exit codes: 0 computed/verified (and -h/--help), 1 theorem check failed
+(witness printed), 2 usage error, 3 resource cap exceeded.
 
 Environment variables override default caps: STARCONFIG_ENUM_CAP (symbolic
 power enumeration), STARCONFIG_DEGREE_CAP (h-vector degree, no default),
 STARCONFIG_POWER_CAP (ordinary-power exponent cap in containment commands).
 
-The parser holds only the subcommand named on the command line, and each
-command's report builder lives in its own module of starconfig.commands,
-imported when it runs, so a process compiles and builds only what its
-command needs.
+parse reads the command line straight from the COMMANDS table: the command
+word first, then `--flag value` or `--flag=value`, a flag abbreviated to any
+unambiguous prefix, the last of repeated flags winning.  Help is generated
+from the same table, and every parse error is a UsageError, printed as any
+other (`error (usage): ...`, or JSON under --format json).  Each command's
+report builder lives in its own module of starconfig.commands, imported when
+it runs, so a process compiles and builds only what its command needs.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import io
 import os
 import sys
 from math import gcd
+from types import SimpleNamespace
 
 from .errors import ResourceCapError, TheoremViolation, UsageError
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"must be an integer, got {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
     """A cap value: a positive integer, else a usage error (exit 2).
 
-    The argparse type of every cap flag, and the parser of the cap
-    environment variables.
+    The type of every cap flag, and the parser of the cap environment
+    variables.
     """
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    value = _int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+        raise UsageError(f"must be positive, got {value}")
     return value
 
 
@@ -51,7 +58,7 @@ def _env_cap(name: str) -> int | None:
         return None
     try:
         return _positive_int(raw)
-    except argparse.ArgumentTypeError as exc:
+    except UsageError as exc:
         raise UsageError(f"{name} {exc}") from None
 
 
@@ -130,8 +137,9 @@ _DEGREE_CAP = ("--degree-cap", "STARCONFIG_DEGREE_CAP")
 _POWER_CAP = ("--power-cap", "STARCONFIG_POWER_CAP")
 
 # command -> (help, the required integer flags after --s, further flags), in --help order.  A
-# further flag is (name, add_argument keywords), or (name, variable) for a positive-int cap whose
-# default the environment variable gives.  starconfig.commands.<command>.run builds the report.
+# further flag is (name, keywords: type, default, choices, required, help), or (name, variable)
+# for a positive-int cap whose default the environment variable gives.
+# starconfig.commands.<command>.run builds the report.
 COMMANDS = {
     "skeleton": ("skeleton ideal: generators, h-vector, degree, alpha", ("c",), (_DEGREE_CAP,)),
     "symbolic": ("symbolic power: generators, alpha/omega vs closed forms", ("c", "ell"), (
@@ -156,46 +164,82 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of the named command alone.
+# the flags that every command takes after its own, in the same form
+_COMMON = (
+    ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
+    ("--output", {"help": "write the report to this path instead of stdout"}),
+    ("--jobs", {"type": int, "default": 1, "help": "parallelism hint; does not affect output"}),
+)
 
-    The one-command parser names every command in its usage line, so its
-    --help and error output are those of the full parser; it reads only that
-    command's cap environment variables.
+
+def _flags(command: str) -> dict[str, dict]:
+    """The command's flags and their keywords, in --help order; a cap's default is read from the environment."""
+    _, required, options = COMMANDS[command]
+    flags = {"--s": {"type": int, "required": True, "help": "number of hyperplanes/variables"}}
+    flags.update((f"--{name}", {"type": int, "required": True}) for name in required)
+    for flag, kwargs in options + _COMMON:
+        if isinstance(kwargs, str):  # a cap flag and its environment variable
+            kwargs = {"type": _positive_int, "default": _env_cap(kwargs), "help": f"positive cap; ${kwargs} sets the default"}
+        flags[flag] = kwargs
+    return flags
+
+
+def parse(argv: list[str], args: SimpleNamespace) -> str | None:
+    """Set args from the command line by the COMMANDS table; the help text if -h or --help (or --he) is given.
+
+    The cap variables are read first: the command's own, or every one when
+    no command is named.  A token after a flag is its value unless it starts
+    with --, so -1 is a value.  Every problem goes into one UsageError,
+    raised after args.format is set, so that it is printed in that format.
     """
-    parser = argparse.ArgumentParser(
-        prog="starconfig",
-        description="Exact computations for star configurations in the monomial model.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--output", help="write the report to this path instead of stdout")
-    common.add_argument("--jobs", type=int, default=1, help="parallelism hint; does not affect output")
-    names = COMMANDS if command is None else (command,)
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help, required, options = COMMANDS[name]
-        p = sub.add_parser(name, parents=[common], help=help)
-        p.add_argument("--s", type=int, required=True, help="number of hyperplanes/variables")
-        for flag in required:
-            p.add_argument(f"--{flag}", type=int, required=True)
-        for flag, kwargs in options:
-            if isinstance(kwargs, str):  # a cap flag and its environment variable
-                kwargs = {"type": _positive_int, "default": _env_cap(kwargs)}
-            p.add_argument(flag, **kwargs)
-    return parser
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    for name in [command] if command else COMMANDS:  # with no command, every cap variable is read
+        flags = _flags(name)
+    if any(token == "-h" or len(token) > 2 and "--help".startswith(token) for token in argv):
+        from .usage import usage
+
+        return usage(command)
+    if command is None:
+        raise UsageError(f"the first argument names a command, one of {', '.join(COMMANDS)}")
+    given, problems = {}, []
+    tokens, i = argv[1:], 0
+    while i < len(tokens):
+        name, has_value, value = tokens[i].partition("=")
+        i += 1
+        if not has_value:  # the next token is the value, unless it is a flag
+            value = tokens[i] if i < len(tokens) and not tokens[i].startswith("--") else None
+            i += value is not None
+        # the flag named in full, else every flag that the name abbreviates
+        matches = [name] if name in flags else [f for f in flags if len(name) > 2 and f.startswith(name)]
+        if len(matches) == 1:
+            given[matches[0]] = value  # a repeated flag: the last value wins
+        else:
+            problems.append(f"{name} could be {' or '.join(matches)}" if matches else f"unexpected argument {name!r}")
+    for flag, spec in flags.items():
+        text, kind = given.get(flag), spec.get("type", str)
+        try:
+            if text is None and (flag in given or spec.get("required")):
+                raise UsageError("needs a value")
+            value = spec.get("default") if text is None else (_int if kind is int else kind)(text)
+            if value not in spec.get("choices", (value,)):
+                raise UsageError(f"must be one of {', '.join(spec['choices'])}, got {text!r}")
+            setattr(args, flag[2:].replace("-", "_"), value)
+        except UsageError as exc:
+            problems.append(f"{flag} {exc}")
+    if problems:
+        raise UsageError("; ".join(problems))
+    args.command = command
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = None
+    args = SimpleNamespace(format="text")
     try:
-        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return 2 if exc.code not in (0, None) else 0
+        help_text = parse(argv, args)
+        if help_text is not None:
+            sys.stdout.write(help_text)
+            return 0
         if args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
         command = importlib.import_module(f".commands.{args.command}", __package__)
@@ -227,9 +271,8 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-def _emit_error(args, kind: str, message: str) -> None:
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
+def _emit_error(args: SimpleNamespace, kind: str, message: str) -> None:
+    if args.format == "json":
         import json
 
         payload = {"error": {"kind": kind, "reason": message}}

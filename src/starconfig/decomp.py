@@ -14,7 +14,6 @@ decision path.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement
 from math import comb
 
 from . import config
@@ -39,26 +38,40 @@ def _default_r_cap(s: int) -> int:
 
 
 def _check_decomp(check: str, s: int, c: int, ell: int, s_cap: int, l_cap: int) -> None:
+    config.StarConfig(s, c)  # validate ranges first: a malformed input is a usage error, not a refusal
+    config.check_ell(ell)
     if s > s_cap or ell > l_cap:
         raise ResourceCapError(f"{check} check capped at s <= {s_cap}, ell <= {l_cap}; got s={s}, ell={ell}")
-    config.StarConfig(s, c)  # validate ranges
-    config.check_ell(ell)
     tuples = comb((s - c + 1) * ell + s, s)  # what _decomp_verdicts scans, when the caps are raised
     if tuples > config.DEFAULT_ENUM_CAP:
         raise ResourceCapError(f"{check} check scans {tuples} exponent tuples, cap is {config.DEFAULT_ENUM_CAP}")
 
 
-def _box_memberships(a: tuple[int, ...], c: int, ell: int) -> tuple[bool, bool, bool, bool]:
-    """For nondecreasing a: is x^a in I^ell, the symbolic intersection, M^(d*ell), I^ell : M^inf?"""
-    d = len(a) - c + 1
-    capped = [min(e, ell) for e in a]
-    prefix = list(accumulate(a))
-    return (
-        sum(capped) >= ell * d,
-        all(prefix[c + j - 1] >= (j + 1) * ell for j in range(d - 1)),
-        prefix[-1] >= ell * d,
-        sum(capped) - capped[-1] >= ell * (d - 1),
-    )
+def _box_walk(s: int, c: int, ell: int):
+    """The four predicates of _decomp_verdicts for each nondecreasing tuple of the box [0, d*ell]^s.
+
+    Yields (in I^ell, in the symbolic intersection, in M^(d*ell), in
+    I^ell : M^inf) per tuple, the tuples in combinations_with_replacement
+    order.  A depth-first walk that carries the prefix sum, the capped sum and
+    the intersection's prefix test, so a tuple costs O(1) rather than O(s).
+    """
+    d = s - c + 1
+    top = d * ell  # the box's largest entry, and the threshold of I^ell and of M^(d*ell)
+
+    def walk(k: int, low: int, total: int, capped: int, prefix_ok: bool):
+        # entries 0..k-1 are chosen, the last of them low; total and capped are their sums
+        if k == s - 1:  # the last entry v moves only the first and third predicates, both monotone in v
+            in_power_from = top - capped if top - capped <= ell else top + 1  # capped + min(v, ell) >= top
+            in_m_from, saturated = top - total, capped >= top - ell
+            for v in range(low, top + 1):
+                yield v >= in_power_from, prefix_ok, v >= in_m_from, saturated
+            return
+        for v in range(low, top + 1):
+            # entry k closes the prefix test of the c+j smallest entries, j = k-c+1, when 0 <= j < d-1
+            ok = prefix_ok and (k < c - 1 or total + v >= (k - c + 2) * ell)
+            yield from walk(k + 1, v, total + v, capped + min(v, ell), ok)
+
+    return walk(0, 0, 0, 0, True)
 
 
 @lru_cache(maxsize=64)
@@ -81,8 +94,7 @@ def _decomp_verdicts(s: int, c: int, ell: int) -> tuple[bool, bool]:
     C(d*ell+s, s) nondecreasing tuples of the box decide both identities.
     """
     power_ok = sat_ok = True
-    for a in combinations_with_replacement(range((s - c + 1) * ell + 1), s):
-        in_power, in_intersection, in_m, in_saturation = _box_memberships(a, c, ell)
+    for in_power, in_intersection, in_m, in_saturation in _box_walk(s, c, ell):
         power_ok = power_ok and in_power == (in_intersection and in_m)
         sat_ok = sat_ok and in_saturation == in_intersection
     return power_ok, sat_ok
@@ -125,12 +137,13 @@ def symbolic_in_power(s: int, c: int, m: int, r: int, r_cap: int | None = None) 
     contract: the benchmark expects `scan --s 5 --c 3 --mmax 20 --rmax 8`
     to be refused, and the default caps go when that expectation changes.
     """
+    cfg = config.StarConfig(s, c)  # validated before the cap, as m and r are
     if m < 1 or r < 1:
         raise UsageError(f"need m, r >= 1, got m={m}, r={r}")
     cap = _default_r_cap(s) if r_cap is None else r_cap
     if r > cap:
         raise ResourceCapError(f"power exponent r={r} exceeds the cap {cap} for s={s}")
-    return config.alpha_symbolic_formula(config.StarConfig(s, c), m) >= r * (s - c + 1)
+    return config.alpha_symbolic_formula(cfg, m) >= r * (s - c + 1)
 
 
 def criterion(n_dim: int, m: int, r: int) -> bool:
@@ -188,6 +201,7 @@ def resurgence_scan(
     """
     from fractions import Fraction
 
+    config.StarConfig(s, c)  # validate ranges before the cell cap
     if m_max < 1 or r_max < 1:
         raise UsageError(f"need m_max, r_max >= 1, got {m_max}, {r_max}")
     if m_max * r_max > SCAN_CELL_CAP:

@@ -228,42 +228,14 @@ def hb_matrix(s: int, m: int) -> SymbolicMatrix:
     return SymbolicMatrix(rows, cols, tuple(tuple(row) for row in grid))
 
 
-def _det_expand(
-    matrix: SymbolicMatrix,
-    rows: tuple[int, ...],
-    cols: tuple[int, ...],
-    memo: dict,
-    arity: int,
-) -> SparsePoly:
-    if not rows:
-        return SparsePoly.monomial(arity, (0,) * arity)
-    key = (rows, cols)
-    if key in memo:
-        return memo[key]
-    if len(rows) == 1:
-        result = matrix.entry(rows[0], cols[0])
-        memo[key] = result
-        return result
-
-    # pick the line (row or column) with the fewest nonzero entries, the first such row on a tie
-    lines = [(sum(not matrix.entry(r, c).is_zero for c in cols), True, a) for a, r in enumerate(rows)]
-    lines += [(sum(not matrix.entry(r, c).is_zero for r in rows), False, b) for b, c in enumerate(cols)]
-    _, is_row, a = min(lines, key=lambda line: line[0])
-    result = SparsePoly.zero(arity)
-    for b in range(len(cols) if is_row else len(rows)):  # an all-zero line leaves the result zero
-        i, j = (a, b) if is_row else (b, a)
-        entry = matrix.entry(rows[i], cols[j])
-        if entry.is_zero:
-            continue
-        minor = _det_expand(matrix, rows[:i] + rows[i + 1 :], cols[:j] + cols[j + 1 :], memo, arity)
-        term = entry * minor
-        result = result + term if (i + j) % 2 == 0 else result - term
-    memo[key] = result
-    return result
-
-
 def maximal_minors(matrix: SymbolicMatrix) -> list[SparsePoly]:
-    """Determinants of the square submatrices obtained by deleting one row, in row order."""
+    """Determinants of the square submatrices obtained by deleting one row, in row order.
+
+    Cofactor expansion with one memo across the minors, along the line (row
+    or column) with the fewest nonzero entries, the first such row on a tie.
+    The nonzero entries of each row and column are kept as bitmasks, so a
+    line's count is the popcount of its mask against the remaining lines.
+    """
     if matrix.rows != matrix.cols + 1:
         raise UsageError(
             f"maximal minors need rows = cols + 1, got {matrix.rows}x{matrix.cols}"
@@ -272,14 +244,42 @@ def maximal_minors(matrix: SymbolicMatrix) -> list[SparsePoly]:
         raise ResourceCapError(
             f"minor dimension {matrix.cols} exceeds the cap {DET_DIMENSION_CAP}"
         )
-    arity = matrix.entries[0][0].arity
+    entries = matrix.entries
+    arity = entries[0][0].arity
+    # bit j of row_nz[i], and bit i of col_nz[j], is set when entry (i, j) is nonzero
+    row_nz = [sum(1 << j for j, e in enumerate(row) if not e.is_zero) for row in entries]
+    col_nz = [sum(1 << i for i, row in enumerate(entries) if not row[j].is_zero) for j in range(matrix.cols)]
     memo: dict = {}
-    cols = tuple(range(matrix.cols))
-    all_rows = tuple(range(matrix.rows))
-    return [
-        _det_expand(matrix, all_rows[:k] + all_rows[k + 1 :], cols, memo, arity)
-        for k in range(matrix.rows)
-    ]
+
+    def det(rows: tuple[int, ...], cols: tuple[int, ...], row_mask: int, col_mask: int) -> SparsePoly:
+        if not rows:
+            return SparsePoly.monomial(arity, (0,) * arity)
+        key = (row_mask, col_mask)
+        if key in memo:
+            return memo[key]
+        if len(rows) == 1:
+            memo[key] = result = entries[rows[0]][cols[0]]
+            return result
+        counts = [(row_nz[r] & col_mask).bit_count() for r in rows] + [(col_nz[c] & row_mask).bit_count() for c in cols]
+        a = counts.index(min(counts))
+        is_row = a < len(rows)
+        if not is_row:
+            a -= len(rows)
+        result = SparsePoly.zero(arity)
+        for b in range(len(cols) if is_row else len(rows)):  # an all-zero line leaves the result zero
+            i, j = (a, b) if is_row else (b, a)
+            r, c = rows[i], cols[j]
+            if not row_nz[r] >> c & 1:
+                continue
+            minor = det(rows[:i] + rows[i + 1 :], cols[:j] + cols[j + 1 :], row_mask ^ (1 << r), col_mask ^ (1 << c))
+            term = entries[r][c] * minor
+            result = result + term if (i + j) % 2 == 0 else result - term
+        memo[key] = result
+        return result
+
+    all_rows, cols = tuple(range(matrix.rows)), tuple(range(matrix.cols))
+    full_rows, full_cols = (1 << matrix.rows) - 1, (1 << matrix.cols) - 1
+    return [det(all_rows[:k] + all_rows[k + 1 :], cols, full_rows ^ (1 << k), full_cols) for k in range(matrix.rows)]
 
 
 def expected_minor_monomials(s: int, m: int) -> set[ex.Exponent]:

@@ -4,8 +4,9 @@ Each function here is the generic path that a closed form or a structural
 theorem in `starconfig` replaced: divisibility and membership scans, colon
 ideals and saturation, degree truncation, the built right-hand side of the
 power decomposition, the symbolic power as an intersection of prime powers,
-the Hilbert function from the pivot recursion, and the 2x2-minor test for
-proportional linear forms.  No command reaches them; the tests compare the
+the Hilbert function from the pivot recursion, the per-tuple box predicates
+that the decomposition walk carries, the cofactor expansion that tests each
+entry for zero, and the 2x2-minor test for proportional linear forms.  No command reaches them; the tests compare the
 library against them.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from starconfig import config, exponents as ex, star
@@ -31,6 +32,7 @@ from starconfig.exponents import (
     unit_ideal,
 )
 from starconfig.hilbert import _numerator
+from starconfig.resolution import SparsePoly, SymbolicMatrix
 from starconfig.star import SimplicialComplex
 
 # --- monomial-ideal arithmetic (from starconfig.exponents) ---
@@ -160,6 +162,19 @@ def rhs_decomposition(s: int, c: int, ell: int) -> ex.MonomialIdeal:
     return truncate_to_degree(_symbolic_intersection(s, c, ell), (s - c + 1) * ell)
 
 
+def box_memberships(a: tuple[int, ...], c: int, ell: int) -> tuple[bool, bool, bool, bool]:
+    """For nondecreasing a: is x^a in I^ell, the symbolic intersection, M^(d*ell), I^ell : M^inf?"""
+    d = len(a) - c + 1
+    capped = [min(e, ell) for e in a]
+    prefix = list(accumulate(a))
+    return (
+        sum(capped) >= ell * d,
+        all(prefix[c + j - 1] >= (j + 1) * ell for j in range(d - 1)),
+        prefix[-1] >= ell * d,
+        sum(capped) - capped[-1] >= ell * (d - 1),
+    )
+
+
 # --- symbolic powers and complexes (from starconfig.star) ---
 
 
@@ -192,6 +207,55 @@ def hilbert_function(ideal: ex.MonomialIdeal, d: int) -> int:
     s = ideal.arity
     k = _numerator(ideal)
     return sum(c * comb(d - j + s - 1, s - 1) for j, c in enumerate(k) if j <= d)
+
+
+# --- cofactor expansion (from starconfig.resolution) ---
+
+
+def _det_expand(
+    matrix: SymbolicMatrix,
+    rows: tuple[int, ...],
+    cols: tuple[int, ...],
+    memo: dict,
+    arity: int,
+) -> SparsePoly:
+    if not rows:
+        return SparsePoly.monomial(arity, (0,) * arity)
+    key = (rows, cols)
+    if key in memo:
+        return memo[key]
+    if len(rows) == 1:
+        result = matrix.entry(rows[0], cols[0])
+        memo[key] = result
+        return result
+
+    # pick the line (row or column) with the fewest nonzero entries, the first such row on a tie
+    lines = [(sum(not matrix.entry(r, c).is_zero for c in cols), True, a) for a, r in enumerate(rows)]
+    lines += [(sum(not matrix.entry(r, c).is_zero for r in rows), False, b) for b, c in enumerate(cols)]
+    _, is_row, a = min(lines, key=lambda line: line[0])
+    result = SparsePoly.zero(arity)
+    for b in range(len(cols) if is_row else len(rows)):  # an all-zero line leaves the result zero
+        i, j = (a, b) if is_row else (b, a)
+        entry = matrix.entry(rows[i], cols[j])
+        if entry.is_zero:
+            continue
+        minor = _det_expand(matrix, rows[:i] + rows[i + 1 :], cols[:j] + cols[j + 1 :], memo, arity)
+        term = entry * minor
+        result = result + term if (i + j) % 2 == 0 else result - term
+    memo[key] = result
+    return result
+
+
+def maximal_minors_by_expansion(matrix: SymbolicMatrix) -> list[SparsePoly]:
+    """resolution.maximal_minors as it was: _det_expand on each row-deleted square, one shared memo."""
+    arity = matrix.entries[0][0].arity
+    memo: dict = {}
+    cols = tuple(range(matrix.cols))
+    all_rows = tuple(range(matrix.rows))
+    return [
+        _det_expand(matrix, all_rows[:k] + all_rows[k + 1 :], cols, memo, arity)
+        for k in range(matrix.rows)
+    ]
 
 
 # --- proportional linear forms (from starconfig.export) ---

@@ -258,6 +258,21 @@ def test_nonpositive_cap_flag_is_usage_error(capsys, argv):
     assert "must be positive" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decomp", "--s", "6", "--c", "9", "--ell", "2"],
+        ["decomp", "--s", "6", "--c", "2", "--ell", "0"],
+        ["containment", "--s", "5", "--c", "9", "--m", "2", "--r", "20"],
+        ["scan", "--s", "5", "--c", "9", "--mmax", "1000", "--rmax", "1000"],
+    ],
+)
+def test_malformed_input_is_rejected_before_a_cap_refuses_it(capsys, argv):
+    # each is also past a cap (s, ell, r or the cell count); the malformed (s, c) or ell decides
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and err.startswith("error (usage): ")
+
+
 def test_resource_cap_exit_code(capsys):
     code, _, err = run(capsys, ["containment", "--s", "5", "--c", "3", "--m", "2", "--r", "7"])
     assert code == 3
@@ -277,7 +292,7 @@ def test_exhausted_resource_is_exit_3(capsys, monkeypatch, exc):
 
 # what a CLI process must not load: on importing the CLI, then over one text-format run of a command
 IMPORT_LEAVES_OUT = (
-    "numpy", "dataclasses", "inspect", "fractions", "json",
+    "numpy", "dataclasses", "inspect", "fractions", "json", "argparse", "gettext", "locale",
     "starconfig.config", "starconfig.commands", "starconfig.decomp", "starconfig.resolution",
 )
 IDEALS = ("starconfig.exponents", "starconfig.star", "starconfig.hilbert", "starconfig.resolution")
@@ -314,7 +329,7 @@ def test_cli_import_leaves_numpy_out():
 
     assert loaded(IMPORT_LEAVES_OUT) == "[]\n"
     for argv, leaves_out in RUN_LEAVES_OUT.items():
-        assert loaded(leaves_out, argv) == "0\n[]\n", argv
+        assert loaded(leaves_out + ("argparse", "gettext", "locale"), argv) == "0\n[]\n", argv
 
 
 def test_theorem_violation_exit_code(capsys, monkeypatch):
@@ -369,22 +384,77 @@ def _sample_argv(command):
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_one_command_parser_prints_what_the_full_parser_prints(capsys, command):
-    one, full = cli.build_parser(command), cli.build_parser()
+    # help goes to stdout with exit 0; a parse error is one usage line on stderr with exit 2
     argvs = [
         [command, "--help"],
-        [command],  # missing required flags: the subcommand's usage
+        [command],  # missing required flags
         [command, "--s", "four"],
-        _sample_argv(command) + ["surplus"],  # unrecognized arguments: the top-level usage
+        _sample_argv(command) + ["surplus"],
         _sample_argv(command) + ["--format", "yaml"],
     ]
-    for argv in argvs:
-        printed = []
-        for parser in (one, full):
-            with pytest.raises(SystemExit) as exc:
-                parser.parse_args(argv)
-            printed.append((exc.value.code, capsys.readouterr()))
-        assert printed[0] == printed[1], argv
-        assert printed[0][1].out or printed[0][1].err
+    code, out, err = run(capsys, argvs[0])
+    assert code == 0 and out.startswith(f"usage: starconfig {command} ") and err == ""
+    assert all(flag in out for flag in cli._flags(command))
+    for argv in argvs[1:]:
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error (usage): ") and err.count("\n") == 1, argv
+
+
+def test_top_level_help_lists_every_command(capsys):
+    for argv in (["--help"], ["-h"], ["--he"], ["skeleton", "--s", "4", "-h"]):
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == "" and out.startswith("usage: starconfig ")
+    code, out, _ = run(capsys, ["--help"])
+    assert all(f"  {name} " in out for name in cli.COMMANDS)
+
+
+def report_of(capsys, argv):
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert code == 0 and err == "", err
+    return json.loads(out)
+
+
+def test_flag_forms(capsys):
+    spaced = report_of(capsys, ["containment", "--s", "5", "--c", "2", "--m", "7", "--r", "5"])
+    assert report_of(capsys, ["containment", "--s=5", "--c=2", "--m=7", "--r=5"]) == spaced
+    # an unambiguous prefix names its flag, and a repeated flag keeps its last value
+    assert report_of(capsys, ["containment", "--s", "9", "--c", "2", "--m", "7", "--r", "5", "--s", "5"]) == spaced
+    code, out, _ = run(capsys, ["skeleton", "--s", "4", "--c", "2", "--form", "json", "--out", os.devnull])
+    assert code == 0 and out == ""
+    assert report_of(capsys, ["symbolic", "--s", "4", "--c", "2", "--ell", "2", "--enum", "99"])["caps"] == {"enum_cap": 99}
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["export", "--s", "4", "--c", "2", "--ell", "2", "--target", "m2-syntax", "--form", "x"],
+         "--form could be --forms or --format"),
+        (["skeleton", "--s", "4", "--c"], "--c needs a value"),
+        (["skeleton", "--s", "--c", "2"], "--s needs a value"),
+        (["skeleton", "--c", "2"], "--s needs a value"),
+        (["skeleton", "--s", "4", "--c", "2", "--bogus", "1"], "unexpected argument '--bogus'"),
+        (["skeleton", "--s", "4", "--c", "2", "surplus"], "unexpected argument 'surplus'"),
+        (["skeleton", "--s", "4", "--c", "2", "--"], "unexpected argument '--'"),
+        (["bogus", "--s", "4"], "the first argument names a command, one of " + ", ".join(cli.COMMANDS)),
+        ([], "the first argument names a command, one of " + ", ".join(cli.COMMANDS)),
+        (["skeleton", "--s", "4", "--c", "two"], "--c must be an integer, got 'two'"),
+        (["export", "--s", "4", "--c", "2", "--ell", "2", "--target", "cocoa"],
+         "--target must be one of m2-syntax, singular-syntax, got 'cocoa'"),
+        # a negative number is a value, which the command itself rejects
+        (["hvector", "--s", "4", "--c", "2", "--ell", "-1"], "need ell >= 1, got -1"),
+        # every problem is named, in one line
+        (["skeleton", "--s", "x", "surplus"], "unexpected argument 'surplus'; --s must be an integer, got 'x'; --c needs a value"),
+    ],
+)
+def test_parse_errors(capsys, argv, reason):
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error (usage): {reason}\n")
+    if argv:  # under --format json, the same reason as the JSON error object
+        code, out, err = run(capsys, argv + ["--format", "json"])
+        assert code == 2 and out == ""
+        if argv[0] in cli.COMMANDS:
+            assert json.loads(err) == {"error": {"kind": "usage", "reason": reason}}
 
 
 def test_env_cap_override(capsys, monkeypatch):

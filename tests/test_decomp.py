@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import ceil, comb, floor
 
 import pytest
@@ -93,7 +94,14 @@ def test_box_memberships_match_built_ideals(data):
         oracles.irrelevant_power(s, d * ell),
         saturated_power(s, c, ell),
     )
-    assert decomp._box_memberships(a, c, ell) == tuple(oracles.member(a, ideal) for ideal in built)
+    assert oracles.box_memberships(a, c, ell) == tuple(oracles.member(a, ideal) for ideal in built)
+
+
+def test_box_walk_matches_the_scan():
+    # every s <= 6, c and ell <= 3, and (7, 3, 3): the same predicates in combinations_with_replacement order
+    for s, c, ell in [(s, c, ell) for s in range(2, 7) for c in range(1, s) for ell in (1, 2, 3)] + [(7, 3, 3)]:
+        box = combinations_with_replacement(range((s - c + 1) * ell + 1), s)
+        assert list(decomp._box_walk(s, c, ell)) == [oracles.box_memberships(a, c, ell) for a in box], (s, c, ell)
 
 
 def test_decomp_refuses_a_scan_past_the_enum_cap():

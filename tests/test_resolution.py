@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+import oracles
 from starconfig import exponents as ex
 from starconfig import hilbert, resolution
 from starconfig.errors import ResourceCapError, TheoremViolation, UsageError
@@ -174,6 +175,23 @@ def test_determinant_matches_leibniz_on_random_sparse():
         for k, minor in enumerate(minors):
             square = SymbolicMatrix(n, n, tuple(rows[:k] + rows[k + 1 :]))
             assert minor == leibniz_det(square), f"trial {trial}, row {k}"
+
+
+def test_maximal_minors_match_the_expansion_oracle():
+    # every hb_matrix of at most 12 columns: the bitmask pivot choice gives the pre-bitmask minors, byte for byte
+    checked = 0
+    for s in range(2, 13):
+        for m in itertools.count(2):  # the column count grows with m
+            try:
+                matrix = resolution.hb_matrix(s, m)
+            except ResourceCapError:  # past 16 columns
+                break
+            if matrix.cols > 12:
+                break
+            minors, expected = resolution.maximal_minors(matrix), oracles.maximal_minors_by_expansion(matrix)
+            assert minors == expected and [str(p) for p in minors] == [str(p) for p in expected], (s, m)
+            checked += 1
+    assert checked == 35
 
 
 def test_determinant_cap():
