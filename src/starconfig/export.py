@@ -103,13 +103,17 @@ def export_cas(
     config.StarConfig(s, c)  # range validation for c
     if c > n:
         raise UsageError(f"codimension c={c} exceeds the ambient dimension n={n}")
-    listed = 0
-    for k in range(n, c - 1, -1):  # C(s, n) >= s comes first, so a huge s stops at once
-        listed += comb(s, k)
-        if listed > config.DEFAULT_ENUM_CAP:
-            raise ResourceCapError(
-                f"the script lists at least {listed} subsets of forms, cap is {config.DEFAULT_ENUM_CAP}"
-            )
+    # the entries the script holds: s(n+1) form coefficients, then k names per k-subset of forms,
+    # counted from k = n down, so that a huge s stops before a large binomial is evaluated
+    entries = s * (n + 1)
+    for k in range(n, c - 1, -1):
+        if entries > config.DEFAULT_ENUM_CAP:
+            break
+        entries += comb(s, k) * k
+    if entries > config.DEFAULT_ENUM_CAP:
+        raise ResourceCapError(
+            f"the script holds at least {entries} form coefficients and subset entries, cap is {config.DEFAULT_ENUM_CAP}"
+        )
     forms = coordinate_forms(s) if forms is None else forms
     m_exp = (s - c + 1) * ell
     m2 = target == "m2-syntax"

@@ -97,8 +97,12 @@ def test_betti_refuses_before_listing_the_shape(capsys, monkeypatch):
 
 def test_export_refuses_before_building_the_forms(capsys, monkeypatch):
     calls = count_calls(monkeypatch, export, "coordinate_forms")
-    code, out, err = run(capsys, ["export", "--s", "3000", "--c", "1", "--ell", "1", "--target", "m2-syntax"])
-    assert code == 3 and out == "" and "resource-cap" in err
+    # (100000, 99999) lists only C(s, s-1) = s subsets, but s^2 coefficients of the default forms
+    for s, c in [(3000, 1), (100000, 99999)]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["export", "--s", str(s), "--c", str(c), "--ell", "1", "--target", "m2-syntax"])
+        assert code == 3 and out == "" and "resource-cap" in err
+        assert time.perf_counter() - start < 1
     assert calls == []
 
 
@@ -209,7 +213,7 @@ def test_betti_14_7_is_checked(capsys):
         ["skeleton", "--s", "2000", "--c", "1999"],
         # about 6.1e8 subsets of forms in the script
         ["export", "--s", "30", "--c", "15", "--ell", "1", "--target", "m2-syntax"],
-        # about 2^6000 subsets: the count stops past the cap, before the 6000 default forms are built
+        # 36 million coefficients of the default forms: the count stops there, before any binomial
         ["export", "--s", "6000", "--c", "1", "--ell", "1", "--target", "m2-syntax"],
         ["export", "--s", str(10**400), "--c", "1", "--ell", "1", "--target", "m2-syntax"],
         # past the vertex cap, refused before the 10.4 million or C(100000, 2) facets are listed
@@ -506,6 +510,60 @@ def test_golden(name, capsys):
     assert code == 0
     expected = (GOLDEN / name).read_text()
     assert out == expected
+
+
+# a fresh `python -m starconfig.cli` process, which ends through cli.entry, its os._exit included
+def child(argv, **popen):
+    # without PYTHONUNBUFFERED stdout is block-buffered, so only a flush before os._exit delivers it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
+    popen = {"stdout": subprocess.PIPE, **popen}
+    return subprocess.Popen([sys.executable, "-m", "starconfig.cli", *argv], env=env, stderr=subprocess.PIPE, **popen)
+
+
+def finish(proc):
+    out, err = proc.communicate(timeout=60)
+    return proc.returncode, out, err.decode()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_process_prints_the_golden(name):
+    assert finish(child(GOLDEN_COMMANDS[name])) == (0, (GOLDEN / name).read_bytes(), "")
+
+
+def test_process_writes_the_golden_to_output(tmp_path):
+    target = tmp_path / "report.json"
+    code, out, err = finish(child(GOLDEN_COMMANDS["skeleton_7_3.json"] + ["--output", str(target)]))
+    assert (code, out, err) == (0, b"", "")
+    assert target.read_bytes() == (GOLDEN / "skeleton_7_3.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, code, kind",
+    [(["hb", "--s", "2", "--m", "1"], 2, "usage"), (["decomp", "--s", "6", "--c", "2", "--ell", "2"], 3, "resource-cap")],
+)
+def test_process_refusal_exit_codes(argv, code, kind):
+    got, out, err = finish(child(argv))
+    assert got == code and out == b""
+    assert err.startswith(f"error ({kind}): ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_process_with_a_broken_stdout_pipe_exits_2(fmt):
+    # 214 KB of report, more than a pipe holds, so the write fails even if the child outruns the close
+    proc = child(["skeleton", "--s", "14", "--c", "7", "--format", fmt])
+    proc.stdout.close()
+    code, _, err = finish(proc)
+    reason = json.loads(err)["error"]["reason"] if fmt == "json" else err.removeprefix("error (usage): ")
+    assert code == 2 and reason.rstrip("\n") == "cannot write the report: [Errno 32] Broken pipe"
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("argv", [["skeleton", "--s", "4", "--c", "2"], ["--help"]])
+def test_process_without_a_stdout_descriptor_exits_2(argv):
+    # sys.stdout is None in a process started with descriptor 1 closed
+    code, _, err = finish(child(argv, stdout=None, preexec_fn=lambda: os.close(1)))
+    assert (code, err) == (2, "error (usage): cannot write the report: stdout is closed\n")
 
 
 def test_export_warns_on_proportional_forms(capsys):
