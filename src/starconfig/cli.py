@@ -8,7 +8,9 @@ but deliberately not echoed.
 Exit codes: 0 computed/verified (and -h/--help), 1 theorem check failed
 (witness printed), 2 usage error, 3 resource cap exceeded.  A report that
 cannot be written (an unwritable --output, a closed stdout) is a usage error.
-main returns the code; entry, the process entry point, ends the process.
+An error line that cannot be written (a closed or broken stderr) is dropped,
+and the refusal keeps its exit code.  main returns the code; entry, the
+process entry point, ends the process.
 
 Environment variables override default caps: STARCONFIG_ENUM_CAP (symbolic
 power enumeration), STARCONFIG_DEGREE_CAP (h-vector degree, no default),
@@ -17,7 +19,8 @@ STARCONFIG_POWER_CAP (ordinary-power exponent cap in containment commands).
 parse reads the command line straight from the COMMANDS table: the command
 word first, then `--flag value` or `--flag=value`, a flag abbreviated to any
 unambiguous prefix, the last of repeated flags winning.  Help is generated
-from the same table, and every parse error is a UsageError, printed as any
+from the same table, which parse passes to starconfig.usage (so `-m` never
+runs this module twice), and every parse error is a UsageError, printed as any
 other (`error (usage): ...`, or JSON under --format json).  Each command's
 report builder lives in its own module of starconfig.commands, imported when
 it runs, so a process compiles and builds only what its command needs.
@@ -200,7 +203,7 @@ def parse(argv: list[str], args: SimpleNamespace) -> str | None:
     if any(token == "-h" or len(token) > 2 and "--help".startswith(token) for token in argv):
         from .usage import usage
 
-        return usage(command)
+        return usage(command, COMMANDS, _flags)
     if command is None:
         raise UsageError(f"the first argument names a command, one of {', '.join(COMMANDS)}")
     given, problems = {}, []
@@ -247,6 +250,7 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError("--jobs must be >= 1")
         command = importlib.import_module(f".commands.{args.command}", __package__)
         report, code = command.run(args)
+        report = {"command": args.command, **report}
         if code == 1:
             report["failure_reason"] = "a verified identity did not hold; see the report fields"
         _write(render(report, args.format), args.output)
@@ -280,38 +284,42 @@ def entry() -> None:
     "Exception ignored" noise follows the one error line.
     """
     code = main()
-    for stream in (sys.stdout, sys.stderr):
+    for name in ("stdout", "stderr"):
         try:
-            if stream is not None:  # None when the process started with that descriptor closed
-                stream.flush()
+            _send(name, "")  # only the flush
         except OSError:
             pass
     os._exit(code)
 
 
+def _send(name: str, text: str) -> None:
+    """Write text to sys.stdout or sys.stderr (name), flushed; OSError when the stream is closed or broken."""
+    stream = getattr(sys, name)
+    if stream is None:  # None when the process started with that descriptor closed
+        raise OSError(f"{name} is closed")
+    stream.write(text)
+    stream.flush()
+
+
 def _write(text: str, path: str | None) -> None:
-    """Write text to the file at path, else to stdout, flushed; a failed write is a usage error (exit 2)."""
+    """Write text to the file at path, else to stdout; a failed write is a usage error (exit 2)."""
     try:
         if path:
             with open(path, "w") as fh:
                 fh.write(text)
-        elif sys.stdout is None:
-            raise OSError("stdout is closed")
         else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            _send("stdout", text)
     except OSError as exc:
         raise UsageError(f"cannot write the report: {exc}") from None
 
 
 def _emit_error(args: SimpleNamespace, kind: str, message: str) -> None:
-    if args.format == "json":
-        import json
-
-        payload = {"error": {"kind": kind, "reason": message}}
-        sys.stderr.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stderr.write(f"error ({kind}): {message}\n")
+    error = {"error": {"kind": kind, "reason": message}}
+    text = render(error, "json") if args.format == "json" else f"error ({kind}): {message}\n"
+    try:
+        _send("stderr", text)
+    except OSError:  # a closed or broken stderr: the exit code still tells the refusal
+        pass
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """The CLI's report builders, one module per command.
 
 Each module's run(args) takes the parsed arguments and returns (report dict,
-exit code); cli imports only the module of the command it runs.  The library
-modules are called as module attributes, so monkeypatches and tracing
-wrappers on them apply.
+exit code); cli puts the command's name first in the report, and imports
+only the module of the command it runs.  The library modules are called as
+module attributes, so monkeypatches and tracing wrappers on them apply.
 """
 
 

@@ -9,7 +9,6 @@ def run(args) -> tuple[dict, int]:
     shape = resolution.ss_resolution(args.s, args.c)
     euler_ok = resolution.shape_numerator(shape) == numerator
     report = {
-        "command": "betti",
         "params": {"s": args.s, "c": args.c},
         "caps": {},
         "modules": [

@@ -6,7 +6,6 @@ from .. import decomp
 def run(args) -> tuple[dict, int]:
     contained = decomp.symbolic_in_power(args.s, args.c, args.m, args.r, r_cap=args.power_cap)
     report = {
-        "command": "containment",
         "params": {"s": args.s, "c": args.c, "m": args.m, "r": args.r},
         "caps": {"power_cap": args.power_cap},
         "contained": contained,

@@ -9,7 +9,6 @@ def run(args) -> tuple[dict, int]:
     power_ok = decomp.verify_power_decomposition(args.s, args.c, args.ell, s_cap=s_cap, l_cap=l_cap)
     sat_ok = decomp.verify_saturation(args.s, args.c, args.ell, s_cap=s_cap, l_cap=l_cap)
     report = {
-        "command": "decomp",
         "params": {"s": args.s, "c": args.c, "ell": args.ell},
         "caps": {"s_cap": s_cap, "l_cap": l_cap},
         "power_decomposition": power_ok,

@@ -8,7 +8,6 @@ def run(args) -> tuple[dict, int]:
     minors = resolution.maximal_minors(matrix)
     verified = resolution.verify_hb(args.s, args.m, minors)
     report = {
-        "command": "hb",
         "params": {"s": args.s, "m": args.m},
         "caps": {"det_dimension_cap": resolution.DET_DIMENSION_CAP},
         "matrix_rows": matrix.rows,

@@ -7,7 +7,6 @@ def run(args) -> tuple[dict, int]:
     cfg = config.StarConfig(args.s, args.c)
     hv = hilbert.symbolic_h_vector(cfg, args.ell, d_cap=args.degree_cap)
     report = {
-        "command": "hvector",
         "params": {"s": args.s, "c": args.c, "ell": args.ell},
         "caps": {"degree_cap": args.degree_cap},
         "h_vector": list(hv.entries),

@@ -9,7 +9,6 @@ def run(args) -> tuple[dict, int]:
     matroid_ok = star.is_matroid(complex_)
     sr_ok = ex.equals(star.stanley_reisner_ideal(complex_), star.skeleton_ideal(cfg))
     report = {
-        "command": "matroid",
         "params": {"s": args.s, "c": args.c},
         "caps": {"vertex_cap": star.MATROID_VERTEX_CAP},
         "facet_count": len(complex_.facets),

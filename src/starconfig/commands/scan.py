@@ -11,7 +11,6 @@ def _frac_str(q) -> str | None:
 def run(args) -> tuple[dict, int]:
     rep = decomp.resurgence_scan(args.s, args.c, args.mmax, args.rmax, r_cap=args.power_cap)
     report = {
-        "command": "scan",
         "params": {"s": args.s, "c": args.c, "m_max": args.mmax, "r_max": args.rmax},
         "caps": {"power_cap": args.power_cap},
         "entries": [

@@ -11,7 +11,6 @@ def run(args) -> tuple[dict, int]:
     ideal = star.skeleton_ideal(cfg)
     generic = hilbert.generic_hvector(args.s, args.c)
     report = {
-        "command": "skeleton",
         "params": {"s": args.s, "c": args.c},
         "caps": {"degree_cap": args.degree_cap},
         "ideal": ideal_summary(ideal),

@@ -12,7 +12,6 @@ def run(args) -> tuple[dict, int]:
     a_formula = star.alpha_symbolic_formula(cfg, args.ell)
     o_formula = star.omega_symbolic_formula(cfg, args.ell)
     report = {
-        "command": "symbolic",
         "params": {"s": args.s, "c": args.c, "ell": args.ell},
         "caps": {"enum_cap": cap},
         "ideal": ideal_summary(ideal, list_gens=len(ideal.gens) <= args.max_listed),

@@ -29,7 +29,6 @@ def run(args) -> tuple[dict, int]:
             }
         )
     report = {
-        "command": "wk",
         "params": {"s": s, "ell": ell, "k": args.k},
         "caps": {},
         "steps": steps,

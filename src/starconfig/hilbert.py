@@ -45,6 +45,14 @@ def _poly_trim(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def _poly_add(a: tuple[int, ...], b: tuple[int, ...], shift: int = 0, sign: int = 1) -> tuple[int, ...]:
+    """a + sign * t^shift * b, trimmed."""
+    out = list(a) + [0] * (len(b) + shift - len(a))
+    for i, x in enumerate(b, shift):
+        out[i] += sign * x
+    return _poly_trim(out)
+
+
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * (len(a) + len(b) - 1)  # empty, and so trimmed to (), when a or b is
     for i, x in enumerate(a):
@@ -95,33 +103,24 @@ def _numerator(ideal: ex.MonomialIdeal) -> tuple[int, ...]:
     e[pivot] = 1
     added = ex.minimalize(s, gens + (tuple(e),))
     quotient = ex.colon(ideal, tuple(e))
-    a = _numerator(added)
-    b = _numerator(quotient)
-    out = [0] * max(len(a), len(b) + 1)
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i + 1] += x
-    return _poly_trim(out)
+    return _poly_add(_numerator(added), _numerator(quotient), 1)
 
 
-def h_vector(ideal: ex.MonomialIdeal, c: int, d_cap: int | None = None) -> HVector:
+def h_vector(ideal: ex.MonomialIdeal, c: int) -> HVector:
     """The h-vector: the (s-c)-th first difference of the Hilbert function.
 
     The differenced sequence has generating series K(t)/(1-t)^c, so it
     stabilizes at zero exactly when (1-t)^c divides the numerator, and the
     entries are the quotient coefficients.  A non-stabilizing sequence (the
-    ideal does not define codimension c) or an h-vector of degree past d_cap
-    (None: no limit) raises ResourceCapError.  This runs the pivot recursion
-    on the built ideal; for a skeleton symbolic power call symbolic_h_vector,
-    which builds no ideal.
+    ideal does not define codimension c) raises ResourceCapError.  This runs
+    the pivot recursion on the built ideal and has no degree cap; for a
+    skeleton symbolic power call symbolic_h_vector, which builds no ideal and
+    takes the CLI's degree cap.
     """
     s = ideal.arity
     if not 1 <= c <= s:
         raise UsageError(f"codimension must satisfy 1 <= c <= {s}, got {c}")
     entries = list(_numerator(ideal))
-    if d_cap is not None and len(entries) - 1 - c > d_cap:
-        raise ResourceCapError(f"h-vector has degree {len(entries) - 1 - c}, cap is {d_cap}")
     for _ in range(c):
         if sum(entries) != 0:  # remainder of division by (1-t)
             raise ResourceCapError(
@@ -250,14 +249,8 @@ def bdg_hf_check(
         raise UsageError("all three ideals must share an arity")
     if d < 0:
         raise UsageError(f"the linking form degree must be nonnegative, got {d}")
-    k_s, k_c = _numerator(i_s), _numerator(i_c)
-    linked = [0] * (max(len(k_s), len(k_c)) + d)
-    for i, x in enumerate(k_s):
-        linked[i] += x
-        linked[i + d] -= x
-    for i, x in enumerate(k_c):
-        linked[i + d] += x
-    return _numerator(i_result) == _poly_trim(linked)
+    k_s = _numerator(i_s)
+    return _numerator(i_result) == _poly_add(_poly_add(k_s, k_s, d, -1), _numerator(i_c), d)
 
 
 __all__ = [

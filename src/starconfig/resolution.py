@@ -150,7 +150,7 @@ def ss_resolution(s: int, c: int) -> ResolutionShape:
         raise UsageError(f"need 2 <= c <= s-1, got c={c}, s={s}")
     modules = []
     for i in range(1, c + 1):
-        m_i = comb(s, s - c + i) * (comb(s - c + i - 1, i - 1) + (comb(s - c + i - 1, i - 2) if i > 1 else 0))
+        m_i = comb(s, s - c + i) * comb(s - c + i, i - 1)
         n_i = comb(s, s - c + 1 + i) * comb(s - c + i, i - 1) if i <= c - 1 else 0
         pairs = []
         if n_i:
@@ -162,18 +162,14 @@ def ss_resolution(s: int, c: int) -> ResolutionShape:
 
 def shape_numerator(shape: ResolutionShape) -> tuple[int, ...]:
     """Hilbert-series numerator implied by a resolution shape of an ideal I: K(R/I)."""
-    coeffs: dict[int, int] = {0: 1}
-    sign = -1
+    from .hilbert import _poly_add  # here, so that hb loads no hilbert
+
+    out, sign = (1,), -1
     for pairs in shape.modules:
         for twist, rank in pairs:
-            coeffs[-twist] = coeffs.get(-twist, 0) + sign * rank
+            out = _poly_add(out, (rank,), -twist, sign)
         sign = -sign
-    out = [0] * (max(coeffs) + 1)
-    for d, c in coeffs.items():
-        out[d] = c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    return out
 
 
 def euler_check(shape: ResolutionShape, ideal: ex.MonomialIdeal) -> bool:

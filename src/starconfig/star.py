@@ -60,7 +60,6 @@ def symbolic_member(mu: ex.Exponent, cfg: StarConfig, ell: int) -> bool:
     return sum(sorted(mu)[: cfg.c]) >= ell
 
 
-@lru_cache(maxsize=128)
 def symbolic_shapes(cfg: StarConfig, ell: int, enum_cap: int = DEFAULT_ENUM_CAP) -> tuple[tuple[int, ...], ...]:
     """The minimal generators of the ell-th symbolic power up to permuting variables.
 
@@ -86,7 +85,6 @@ def _partitions(total: int, parts: int, least: int):
                 yield (first,) + rest
 
 
-@lru_cache(maxsize=32)
 def symbolic_power(cfg: StarConfig, ell: int, enum_cap: int = DEFAULT_ENUM_CAP) -> ex.MonomialIdeal:
     """Minimal generating antichain of the ell-th symbolic power: the arrangements of its shapes.
 

@@ -513,17 +513,17 @@ def test_golden(name, capsys):
 
 
 # a fresh `python -m starconfig.cli` process, which ends through cli.entry, its os._exit included
-def child(argv, **popen):
+def child(argv, python_flags=(), **popen):
     # without PYTHONUNBUFFERED stdout is block-buffered, so only a flush before os._exit delivers it
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
-    popen = {"stdout": subprocess.PIPE, **popen}
-    return subprocess.Popen([sys.executable, "-m", "starconfig.cli", *argv], env=env, stderr=subprocess.PIPE, **popen)
+    popen = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **popen}
+    return subprocess.Popen([sys.executable, *python_flags, "-m", "starconfig.cli", *argv], env=env, **popen)
 
 
 def finish(proc):
     out, err = proc.communicate(timeout=60)
-    return proc.returncode, out, err.decode()
+    return proc.returncode, out, (err or b"").decode()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
@@ -548,6 +548,21 @@ def test_process_refusal_exit_codes(argv, code, kind):
     assert err.startswith(f"error ({kind}): ") and err.count("\n") == 1
 
 
+# an exception that escaped main would end the child with exit 1, the code of a failed identity
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_process_without_a_stderr_descriptor_keeps_the_usage_exit_code(fmt):
+    # sys.stderr is None in a process started with descriptor 2 closed
+    proc = child(["hb", "--s", "2", "--m", "1", "--format", fmt], stderr=None, preexec_fn=lambda: os.close(2))
+    assert finish(proc) == (2, b"", "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_process_with_a_broken_stderr_pipe_keeps_the_refusal_exit_code(fmt):
+    proc = child(["decomp", "--s", "6", "--c", "2", "--ell", "2", "--format", fmt])
+    proc.stderr.close()  # long before the child has started the interpreter and written its error
+    assert finish(proc) == (3, b"", "")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_process_with_a_broken_stdout_pipe_exits_2(fmt):
     # 214 KB of report, more than a pipe holds, so the write fails even if the child outruns the close
@@ -557,6 +572,15 @@ def test_process_with_a_broken_stdout_pipe_exits_2(fmt):
     reason = json.loads(err)["error"]["reason"] if fmt == "json" else err.removeprefix("error (usage): ")
     assert code == 2 and reason.rstrip("\n") == "cannot write the report: [Errno 32] Broken pipe"
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[command, "--help"] for command in cli.COMMANDS], ids=["top-level", *cli.COMMANDS])
+def test_process_help_runs_the_cli_module_once(capsys, argv):
+    # under -m the CLI module runs as __main__; importing it again as starconfig.cli would compile and run it twice
+    code, out, err = finish(child(argv, python_flags=("-X", "importtime")))
+    imported = {line.rpartition("|")[2].strip() for line in err.splitlines() if line.startswith("import time:")}
+    assert code == 0 and "starconfig.usage" in imported and "starconfig.cli" not in imported
+    assert out.decode() == run(capsys, argv)[1]
 
 
 @pytest.mark.parametrize("argv", [["skeleton", "--s", "4", "--c", "2"], ["--help"]])

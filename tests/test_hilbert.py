@@ -98,11 +98,6 @@ def test_h_vector_of_a_complete_intersection_has_no_default_cap():
     assert hilbert.h_vector(ideal, 10).total() == 5**10
 
 
-def test_h_vector_cap():
-    with pytest.raises(ResourceCapError):
-        hilbert.h_vector(symbolic_power(StarConfig(5, 2), 3), 2, d_cap=4)
-
-
 def test_generic_hvector():
     assert hilbert.generic_hvector(4, 2).entries == (1, 2, 3)
     assert hilbert.generic_hvector(7, 3).entries == (1, 3, 6, 10, 15)
