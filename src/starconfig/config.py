@@ -1,9 +1,10 @@
 """The skeleton's parameters and the closed forms that need nothing else.
 
 StarConfig, the exponent check, the default enumeration cap and the alpha
-and omega formulas of the symbolic powers.  This module imports only errors
-and record, so code that needs (s, c) and these formulas loads no ideal
-arithmetic; star re-exports every name here.
+and omega formulas of the symbolic powers, which star re-exports, and
+comb_past, the binomial the refusals compare with a cap.  This module
+imports only errors and record, so code that needs (s, c) and these
+formulas loads no ideal arithmetic.
 """
 
 from __future__ import annotations
@@ -19,6 +20,20 @@ def check_ell(ell: int) -> None:
     """Refuse a symbolic or ordinary power exponent below 1 as a usage error."""
     if ell < 1:
         raise UsageError(f"need ell >= 1, got {ell}")
+
+
+def comb_past(n: int, k: int, cap: int) -> int:
+    """C(n, k), 0 <= k <= n, when it is at most max(cap, 2^64), else a number past both that is at most C(n, k).
+
+    C(n, i) grows with i up to min(k, n-k) and is at least 2^i there, so the
+    product stops within max(cap, 2^64).bit_length() factors however large n is.
+    """
+    value, bound = 1, max(cap, (1 << 64) - 1)
+    for i in range(1, min(k, n - k) + 1):
+        value = value * (n - i + 1) // i
+        if value > bound:
+            break
+    return value
 
 
 class StarConfig(Record):

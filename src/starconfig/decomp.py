@@ -14,10 +14,9 @@ decision path.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 
 from . import config
-from .errors import ResourceCapError, TheoremViolation, UsageError
+from .errors import ResourceCapError, TheoremViolation, UsageError, over_cap
 from .record import Record
 
 # Ordinary powers blow up with the number of variables; these are the
@@ -42,9 +41,10 @@ def _check_decomp(check: str, s: int, c: int, ell: int, s_cap: int, l_cap: int) 
     config.check_ell(ell)
     if s > s_cap or ell > l_cap:
         raise ResourceCapError(f"{check} check capped at s <= {s_cap}, ell <= {l_cap}; got s={s}, ell={ell}")
-    tuples = comb((s - c + 1) * ell + s, s)  # what _decomp_verdicts scans, when the caps are raised
-    if tuples > config.DEFAULT_ENUM_CAP:
-        raise ResourceCapError(f"{check} check scans {tuples} exponent tuples, cap is {config.DEFAULT_ENUM_CAP}")
+    cap = config.DEFAULT_ENUM_CAP
+    tuples = config.comb_past((s - c + 1) * ell + s, s, cap)  # what _decomp_verdicts scans, when the caps are raised
+    if tuples > cap:
+        raise ResourceCapError(f"{check} check scans {over_cap(tuples, cap)} exponent tuples, cap is {cap}")
 
 
 def _box_walk(s: int, c: int, ell: int):
@@ -205,7 +205,7 @@ def resurgence_scan(
     if m_max < 1 or r_max < 1:
         raise UsageError(f"need m_max, r_max >= 1, got {m_max}, {r_max}")
     if m_max * r_max > SCAN_CELL_CAP:
-        raise ResourceCapError(f"the scan has {m_max * r_max} cells, cap is {SCAN_CELL_CAP}")
+        raise ResourceCapError(f"the scan has {over_cap(m_max * r_max, SCAN_CELL_CAP)} cells, cap is {SCAN_CELL_CAP}")
     n_dim = s - 1
     entries = []
     mismatches = []

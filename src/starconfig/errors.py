@@ -13,6 +13,14 @@ class ResourceCapError(RuntimeError):
     """A computation exceeded its configured cap; the message carries the cap."""
 
 
+def over_cap(count: int, cap: int) -> str:
+    """A refused count as its message words it: the count when it fits in 64 bits, else `more than <cap>`.
+
+    Past Python's 4,300-digit int-to-str limit the count could not be printed at all.
+    """
+    return str(count) if count < 1 << 64 else f"more than {cap}"
+
+
 class TheoremViolation(AssertionError):
     """A verified identity failed; the message carries a concrete witness."""
 

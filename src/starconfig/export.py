@@ -13,12 +13,25 @@ from itertools import combinations
 from math import comb
 
 from . import config
-from .errors import ResourceCapError, UsageError
+from .errors import ResourceCapError, UsageError, over_cap
 
 
 def coordinate_forms(s: int) -> list[tuple[int, ...]]:
     """The monomial model: the s coordinate hyperplanes of P^{s-1}, with integer coefficients."""
     return [tuple(1 if j == i else 0 for j in range(s)) for i in range(s)]
+
+
+def _printable(coeff: str) -> str:
+    """The coefficient, refused as malformed when its mantissa digits and written exponent pass 4,300 digits.
+
+    That is Python's int-to-str limit, so the script could not print it, and
+    Fraction would build 10^exponent first.
+    """
+    mantissa, e, exponent = coeff.lower().partition("e")
+    exponent = exponent.replace("_", "")
+    if e and exponent.lstrip("+-").isdigit() and sum(map(str.isdigit, mantissa)) + abs(int(exponent)) > 4300:
+        raise ValueError("more than 4300 digits")
+    return coeff
 
 
 def parse_forms(text: str) -> list[tuple[Fraction, ...]]:
@@ -31,7 +44,7 @@ def parse_forms(text: str) -> list[tuple[Fraction, ...]]:
         if not chunk:
             raise UsageError("empty linear form in --forms")
         try:
-            coeffs = tuple(Fraction(p.strip()) for p in chunk.split(","))
+            coeffs = tuple(Fraction(_printable(p.strip())) for p in chunk.split(","))
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"malformed coefficient in {chunk!r}: {exc}") from None
         forms.append(coeffs)
@@ -112,7 +125,8 @@ def export_cas(
         entries += comb(s, k) * k
     if entries > config.DEFAULT_ENUM_CAP:
         raise ResourceCapError(
-            f"the script holds at least {entries} form coefficients and subset entries, cap is {config.DEFAULT_ENUM_CAP}"
+            f"the script holds at least {over_cap(entries, config.DEFAULT_ENUM_CAP)} form coefficients "
+            f"and subset entries, cap is {config.DEFAULT_ENUM_CAP}"
         )
     forms = coordinate_forms(s) if forms is None else forms
     m_exp = (s - c + 1) * ell

@@ -24,7 +24,7 @@ from math import comb
 from operator import sub
 
 from . import config
-from .errors import ResourceCapError, UsageError
+from .errors import ResourceCapError, UsageError, over_cap
 from .record import Record
 
 
@@ -178,11 +178,11 @@ def symbolic_h_vector(cfg: config.StarConfig, ell: int, d_cap: int | None = None
     s, c = cfg.s, cfg.c
     width = s - c + 1
     if d_cap is not None and ell * width - 1 > d_cap:
-        raise ResourceCapError(f"h-vector has degree {ell * width - 1}, cap is {d_cap}")
+        raise ResourceCapError(f"h-vector has degree {over_cap(ell * width - 1, d_cap)}, cap is {d_cap}")
     work = _symbolic_work(s, c, ell)
     if work > config.DEFAULT_ENUM_CAP:
         raise ResourceCapError(
-            f"closed-form Hilbert numerator needs about {work} word operations, "
+            f"closed-form Hilbert numerator needs about {over_cap(work, config.DEFAULT_ENUM_CAP)} word operations, "
             f"cap is {config.DEFAULT_ENUM_CAP}"
         )
     rows = {p: [comb(c - p - 1 + j, j) for j in range(width)] for p in range(c) if p == 0 or p > c - ell}

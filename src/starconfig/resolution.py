@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import ResourceCapError, TheoremViolation, UsageError
+from .errors import ResourceCapError, TheoremViolation, UsageError, over_cap
 from .record import Record
 
 # Hard cap on exact determinant size; larger requests get a resource error.
@@ -201,7 +201,8 @@ def hb_matrix(s: int, m: int) -> SymbolicMatrix:
     top, left = (1, 0) if m % 2 == 0 else (s, s - 1)  # the header's rows and columns
     rows, cols = top + s * r, left + s * r
     if cols > DET_DIMENSION_CAP:
-        raise ResourceCapError(f"minor dimension {cols} exceeds the cap {DET_DIMENSION_CAP}")
+        dimension = over_cap(cols, DET_DIMENSION_CAP)
+        raise ResourceCapError(f"minor dimension {dimension} exceeds the cap {DET_DIMENSION_CAP}")
     zero = SparsePoly.zero(s)
     var = [SparsePoly.variable(s, i) for i in range(s)]
     p_neg = [SparsePoly.monomial(s, _p_monomial(s, i), -1) for i in range(s)]

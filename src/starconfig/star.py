@@ -19,8 +19,8 @@ from functools import lru_cache
 from math import comb
 
 from . import exponents as ex
-from .config import DEFAULT_ENUM_CAP, StarConfig, alpha_symbolic_formula, check_ell, omega_symbolic_formula
-from .errors import ResourceCapError, UsageError
+from .config import DEFAULT_ENUM_CAP, StarConfig, alpha_symbolic_formula, check_ell, comb_past, omega_symbolic_formula
+from .errors import ResourceCapError, UsageError, over_cap
 from .record import Record
 
 # is_matroid and Stanley-Reisner extraction list every face as a vertex bitmask.
@@ -70,9 +70,11 @@ def symbolic_shapes(cfg: StarConfig, ell: int, enum_cap: int = DEFAULT_ENUM_CAP)
     """
     check_ell(ell)
     s, c = cfg.s, cfg.c
-    entries = s * comb(ell + c - 1, c - 1)  # comb(..) bounds the c-tuples summing to ell
+    entries = s * comb_past(ell + c - 1, c - 1, enum_cap)  # C(..) bounds the c-tuples summing to ell
     if entries > enum_cap:
-        raise ResourceCapError(f"symbolic power shapes need up to {entries} entries, cap is {enum_cap}")
+        raise ResourceCapError(
+            f"symbolic power shapes need up to {over_cap(entries, enum_cap)} entries, cap is {enum_cap}"
+        )
     return tuple((0,) * (c - len(p)) + p + (p[-1],) * (s - c) for p in _partitions(ell, c, 1))
 
 
@@ -94,7 +96,9 @@ def symbolic_power(cfg: StarConfig, ell: int, enum_cap: int = DEFAULT_ENUM_CAP) 
     shapes = symbolic_shapes(cfg, ell, enum_cap)
     entries = cfg.s * sum(_arrangement_count(t) for t in shapes)
     if entries > enum_cap:
-        raise ResourceCapError(f"symbolic power generators need {entries} entries, cap is {enum_cap}")
+        raise ResourceCapError(
+            f"symbolic power generators need {over_cap(entries, enum_cap)} entries, cap is {enum_cap}"
+        )
     gens = [g for t in shapes for g in _distinct_permutations(t)]
     return ex.MonomialIdeal(cfg.s, tuple(sorted(gens, key=ex.grlex_key)))
 
@@ -219,11 +223,6 @@ def stanley_reisner_ideal(complex_: SimplicialComplex) -> ex.MonomialIdeal:
     return ex.minimalize(v, [tuple(tau >> i & 1 for i in range(v)) for tau in minimal])
 
 
-def _wk_thresholds(s: int, ell: int, k: int) -> dict[tuple[int, int], int]:
-    """Pair exponents for W_k: ell+2 inside the first k variables, ell+1 across, ell outside."""
-    return {(i, j): ell + (i < k) + (j < k) for i, j in itertools.combinations(range(s), 2)}
-
-
 def check_wk(s: int, ell: int) -> None:
     """Refuse s < 3 or ell < 1 as usage errors, and an s whose W_k chain checks pass the enum cap."""
     if s < 3:
@@ -232,26 +231,32 @@ def check_wk(s: int, ell: int) -> None:
     # the chain checks run the Hilbert numerator recursion on W_k, which has no cap of its own;
     # (ell+3)^s >= 2^s passes the cap once s reaches the cap's bit length, so a huge power is never computed
     if s >= DEFAULT_ENUM_CAP.bit_length() or (ell + 3) ** s > DEFAULT_ENUM_CAP:
-        raise ResourceCapError(f"W_k is capped at (ell+3)^s <= {DEFAULT_ENUM_CAP}, got {ell + 3}^{s}")
+        base = over_cap(ell + 3, DEFAULT_ENUM_CAP)
+        raise ResourceCapError(f"W_k is capped at (ell+3)^s <= {DEFAULT_ENUM_CAP}, got {base}^{s}")
 
 
 def wk_ideal(s: int, ell: int, k: int) -> ex.MonomialIdeal:
-    """The intersection of pair-prime powers interpolating between symbolic powers.
+    """W_k: the intersection of the pair-prime powers (x_i, x_j)^(ell + [i<k] + [j<k]).
 
-    W_0 is the ell-th symbolic power of the codimension-2 skeleton and W_s the
-    (ell+2)-nd; step k raises the exponent of every pair meeting variable k-1.
+    W_0 is I^(ell), the ell-th symbolic power of the codimension-2 skeleton, and W_s is I^(ell+2).
+    Write a = b + e, e the indicator of the first k variables: x^a lies in W_k
+    iff b_i + b_j >= ell on every pair, with b >= -e.  Two entries -1 would
+    sum to -2 < ell, so at most one b_i is -1.  If none is, x^b lies in
+    I^(ell).  If b_i is, then i < k and x^a is a multiple of F_i: exponent 0
+    at i, ell+2 at the other variables below k and ell+1 from k on.  Each F_i
+    meets every pair's bound, so W_k = x_0...x_{k-1} I^(ell) + (F_0, ..., F_{k-1}).
     """
     check_wk(s, ell)
     if not 0 <= k <= s:
         raise UsageError(f"need 0 <= k <= s, got k={k}")
-    return ex.intersect_many(
-        ex.power(ex.variable_ideal(s, pair), a) for pair, a in _wk_thresholds(s, ell, k).items()
-    )
+    shifted = [tuple(x + (v < k) for v, x in enumerate(g)) for g in symbolic_power(StarConfig(s, 2), ell).gens]
+    corners = [tuple(0 if v == i else ell + 1 + (v < k) for v in range(s)) for i in range(k)]
+    return ex.minimalize(s, shifted + corners)
 
 
 def wk_degree(s: int, ell: int, k: int) -> int:
-    """Degree of W_k as a codimension-2 scheme: sum of binom(a+1, 2) over its pair exponents."""
-    return sum(comb(a + 1, 2) for a in _wk_thresholds(s, ell, k).values())
+    """Degree of W_k as a codimension-2 scheme: binom(a+1, 2) over its pair exponents a (ell+2, ell+1 or ell)."""
+    return comb(k, 2) * comb(ell + 3, 2) + k * (s - k) * comb(ell + 2, 2) + comb(s - k, 2) * comb(ell + 1, 2)
 
 
 def wk_link_monomial(s: int, ell: int, k: int) -> ex.Exponent:
@@ -271,10 +276,8 @@ def wk_step_check(s: int, ell: int, k: int, current=None, nxt=None) -> bool:
         raise UsageError(f"need 0 <= k < s, got k={k}")
     current = wk_ideal(s, ell, k) if current is None else current
     nxt = wk_ideal(s, ell, k + 1) if nxt is None else nxt
-    xk = ex.variable_ideal(s, [k])
-    link = ex.MonomialIdeal(s, (wk_link_monomial(s, ell, k),))
-    built = ex.ideal_sum(ex.multiply(xk, current), link)
-    if not ex.equals(nxt, built):
+    shifted = [tuple(x + (v == k) for v, x in enumerate(g)) for g in current.gens]
+    if not ex.equals(nxt, ex.minimalize(s, shifted + [wk_link_monomial(s, ell, k)])):
         return False
     return wk_degree(s, ell, k + 1) == wk_degree(s, ell, k) + k * (ell + 2) + (s - k - 1) * (ell + 1)
 

@@ -3,10 +3,11 @@
 Each function here is the generic path that a closed form or a structural
 theorem in `starconfig` replaced: divisibility and membership scans, colon
 ideals and saturation, degree truncation, the built right-hand side of the
-power decomposition, the symbolic power as an intersection of prime powers,
-the Hilbert function from the pivot recursion, the per-tuple box predicates
-that the decomposition walk carries, the cofactor expansion that tests each
-entry for zero, and the 2x2-minor test for proportional linear forms.  No command reaches them; the tests compare the
+power decomposition, the symbolic power and the W_k chain as intersections
+of prime powers, the Hilbert function from the pivot recursion, the
+per-tuple box predicates that the decomposition walk carries, the cofactor
+expansion that tests each entry for zero, and the 2x2-minor test for
+proportional linear forms.  No command reaches them; the tests compare the
 library against them.
 """
 
@@ -187,6 +188,18 @@ def symbolic_power_by_intersection(cfg: StarConfig, ell: int) -> ex.MonomialIdea
         for subset in itertools.combinations(range(s), c)
     )
     return ex.intersect_many(terms)
+
+
+def wk_pair_exponents(s: int, ell: int, k: int) -> dict[tuple[int, int], int]:
+    """The exponent of each pair prime in W_k: ell+2 inside the first k variables, ell+1 across, ell outside."""
+    return {(i, j): ell + (i < k) + (j < k) for i, j in itertools.combinations(range(s), 2)}
+
+
+def wk_ideal_by_intersection(s: int, ell: int, k: int) -> ex.MonomialIdeal:
+    """star.wk_ideal as its definition: fold intersect over the pair-prime powers (x_i, x_j)^a."""
+    return ex.intersect_many(
+        ex.power(ex.variable_ideal(s, pair), a) for pair, a in wk_pair_exponents(s, ell, k).items()
+    )
 
 
 def make_complex(vertex_count: int, facets) -> SimplicialComplex:

@@ -17,6 +17,7 @@ from cli_cases import GOLDEN_COMMANDS
 from starconfig import cli, decomp, export, resolution, star
 
 GOLDEN = Path(__file__).parent / "golden"
+HUGE = str(10**3000)
 
 
 def run(capsys, argv):
@@ -229,13 +230,28 @@ def test_betti_14_7_is_checked(capsys):
         ["hb", "--s", "3", "--m", "20000"],
         # 300,000 cells, each a report entry
         ["scan", "--s", "4", "--c", "2", "--mmax", "1000", "--rmax", "300", "--power-cap", "300"],
+        # counts past Python's 4,300-digit int-to-str limit are worded as more than the cap
+        ["hvector", "--s", HUGE, "--c", "2", "--ell", HUGE],
+        ["hvector", "--s", HUGE, "--c", "2", "--ell", HUGE, "--degree-cap", "1"],
+        ["hb", "--s", HUGE, "--m", HUGE],
+        ["export", "--s", HUGE, "--c", "1", "--ell", "1", "--target", "m2-syntax"],
+        ["scan", "--s", "4", "--c", "2", "--mmax", HUGE, "--rmax", HUGE],
+        ["decomp", "--s", "100000", "--c", "2", "--ell", "1", "--s-cap", "100000"],
+        ["symbolic", "--s", "20000", "--c", "10000", "--ell", "20000"],
+        ["wk", "--s", "3", "--ell", "9" * 4300],
+        ["hb", "--s", "4", "--m", "9" * 4300],
+        ["betti", "--s", "9" * 4300, "--c", "2"],
+        ["decomp", "--s", "4", "--c", "2", "--ell", "9" * 4300, "--l-cap", "9" * 4300],
+        # the binomials compared with the cap stop once past it, before a million-factor product
+        ["symbolic", "--s", "3000000", "--c", "1500000", "--ell", "3000000"],
+        ["decomp", "--s", "1000000", "--c", "2", "--ell", "1", "--s-cap", "1000000"],
     ],
 )
 def test_huge_hvector_is_refused_fast(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, argv)
     assert code == 3 and out == ""
-    assert "resource-cap" in err
+    assert err.startswith("error (resource-cap): ") and err.count("\n") == 1
     assert time.perf_counter() - start < 5
 
 
@@ -637,6 +653,22 @@ def test_export_malformed_forms(capsys):
     ])
     assert code == 2
     assert "malformed" in err
+
+
+@pytest.mark.parametrize("coeff", ["1e5000", "1e100000000"])
+def test_export_refuses_a_coefficient_past_the_digit_limit(capsys, coeff):
+    # refused from its written exponent, before Fraction builds 10^exponent
+    start = time.perf_counter()
+    code, out, err = run(capsys, [
+        "export", "--s", "2", "--c", "1", "--ell", "1", "--target", "m2-syntax", "--forms", f"{coeff},0;0,1",
+    ])
+    assert code == 2 and out == ""
+    assert err.startswith("error (usage): ") and "more than 4300 digits" in err and err.count("\n") == 1
+    assert time.perf_counter() - start < 5
+
+
+def test_export_parses_short_exponents_and_fractions():
+    assert export.parse_forms("1e2,1/2;0,1") == [(Fraction(100), Fraction(1, 2)), (Fraction(0), Fraction(1))]
 
 
 def test_export_form_count_mismatch(capsys):

@@ -193,6 +193,22 @@ def test_bdg_hf_check_wk_step():
     assert hilbert.bdg_hf_check(link, wk_ideal(s, ell, k), 1, wk_ideal(s, ell, k + 1))
 
 
+def test_wk_numerator_closed_form():
+    # W_k = x_0...x_{k-1} I^(ell) + (F_0, ..., F_{k-1}), each F_i of degree d, gives
+    # K(W_k) = 1 - t^k (1 - K_ell) - k (1 - t) t^d; wk's check keeps the pivot recursion, so the form lives here
+    cases = 0
+    for s in range(3, 7):
+        for ell in range(1, 5):
+            one_minus_k_ell = hilbert._poly_add((1,), hilbert.symbolic_numerator(StarConfig(s, 2), ell), 0, -1)
+            for k in range(s + 1):
+                d = (k - 1) * (ell + 2) + (s - k) * (ell + 1)
+                expected = hilbert._poly_add((1,), one_minus_k_ell, k, -1)
+                expected = hilbert._poly_add(expected, (k, -k), d, -1)
+                assert hilbert._numerator(wk_ideal(s, ell, k)) == expected, (s, ell, k)
+                cases += 1
+    assert cases == 88
+
+
 def test_bdg_hf_check_trivial():
     # I_C = I_S with F of degree 0 leaves the Hilbert function unchanged
     m = skeleton_ideal(StarConfig(4, 2))

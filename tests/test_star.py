@@ -31,13 +31,19 @@ def squarefree_veronese(s, d):
 
 
 def brute_wk_ideal(s, ell, k):
-    """Box scan of {0..ell+2}^s: the members of the pair-prime intersection, minimalized."""
-    pairs = list(star._wk_thresholds(s, ell, k).items())
+    """Box scan of {0..ell+2}^s: the members of the pair-prime intersection that no one-step decrement keeps.
 
-    def is_member(t):
-        return all(t[i] + t[j] >= a for (i, j), a in pairs)
+    Prefixes grow one variable at a time, and a prefix whose pairs already miss their exponents is dropped.
+    """
+    a = oracles.wk_pair_exponents(s, ell, k)
+    members = {()}
+    for j in range(s):
+        members = {t + (x,) for t in members for x in range(ell + 3) if all(t[i] + x >= a[i, j] for i in range(j))}
 
-    return ex.minimalize(s, [t for t in itertools.product(range(ell + 3), repeat=s) if is_member(t)])
+    def is_minimal(t):
+        return not any(t[:v] + (t[v] - 1,) + t[v + 1 :] in members for v in range(s) if t[v])
+
+    return ex.minimalize(s, filter(is_minimal, members))
 
 
 def scan_is_matroid(complex_):
@@ -272,17 +278,19 @@ def test_wk_endpoints_and_intersection_oracle():
     for s, ell in [(4, 1), (5, 2)]:
         assert ex.equals(star.wk_ideal(s, ell, 0), star.symbolic_power(StarConfig(s, 2), ell))
         assert ex.equals(star.wk_ideal(s, ell, s), star.symbolic_power(StarConfig(s, 2), ell + 2))
-    # the intersection of pair-prime powers agrees with brute-force membership in it
+    # the shifted symbolic power agrees with the pair-prime intersection and with brute-force membership in it
     for s, ell, k in [(4, 1, 2), (4, 2, 1), (5, 1, 3), (6, 1, 4)]:
+        assert ex.equals(star.wk_ideal(s, ell, k), oracles.wk_ideal_by_intersection(s, ell, k))
         assert ex.equals(star.wk_ideal(s, ell, k), brute_wk_ideal(s, ell, k))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_wk_ideal_matches_box_scan_property(data):
-    s = data.draw(st.integers(3, 5))
-    ell = data.draw(st.integers(1, 2))
+    s = data.draw(st.integers(3, 6))
+    ell = data.draw(st.integers(1, 3))
     for k in range(s + 1):
+        assert ex.equals(star.wk_ideal(s, ell, k), oracles.wk_ideal_by_intersection(s, ell, k))
         assert ex.equals(star.wk_ideal(s, ell, k), brute_wk_ideal(s, ell, k))
 
 
