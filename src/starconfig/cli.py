@@ -1,9 +1,10 @@
 """Command-line surface: structured reports, their rendering, and dispatch.
 
-Every command builds a plain-dict report and renders it as text, json, or csv
-(csv for grid scans only).  Reports are byte-deterministic: identical inputs
-produce identical output regardless of the --jobs hint, which is validated
-but deliberately not echoed.
+Every command builds a plain-dict report and renders it as text, json (by
+starconfig.jsontext, imported only for it), or csv (scan only, checked at
+parsing).  Reports are byte-deterministic: identical inputs produce
+identical output regardless of the --jobs hint, which is validated but
+deliberately not echoed.
 
 Exit codes: 0 computed/verified (and -h/--help), 1 theorem check failed
 (witness printed), 2 usage error, 3 resource cap exceeded.  A report that
@@ -110,25 +111,20 @@ def _scalar(value) -> str:
 
 
 def _render_csv(report: dict) -> str:
-    if report.get("command") != "scan":
-        raise UsageError("csv output is only defined for the scan command")
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["m", "r", "contained", "ratio_num", "ratio_den"])
+    """A scan report's grid; its fields are ints and true/false, which csv never quotes."""
+    rows = ["m,r,contained,ratio_num,ratio_den\n"]
     for entry in report["entries"]:
         m, r = entry["m"], entry["r"]
         g = gcd(m, r)  # m/r in lowest terms
-        writer.writerow([m, r, str(entry["contained"]).lower(), m // g, r // g])
-    return buf.getvalue()
+        rows.append(f"{m},{r},{'true' if entry['contained'] else 'false'},{m // g},{r // g}\n")
+    return "".join(rows)
 
 
 def render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        import json
+        from .jsontext import dumps
 
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return dumps(report) + "\n"
     if fmt == "csv":
         return _render_csv(report)
     return _render_text(report)
@@ -231,6 +227,8 @@ def parse(argv: list[str], args: SimpleNamespace) -> str | None:
             setattr(args, flag[2:].replace("-", "_"), value)
         except UsageError as exc:
             problems.append(f"{flag} {exc}")
+    if args.format == "csv" and command != "scan":
+        problems.append("csv output is only defined for the scan command")
     if problems:
         raise UsageError("; ".join(problems))
     args.command = command

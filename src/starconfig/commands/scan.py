@@ -3,9 +3,9 @@
 from .. import decomp
 
 
-def _frac_str(q) -> str | None:
-    """A Fraction as "num/den", None as None."""
-    return None if q is None else f"{q.numerator}/{q.denominator}"
+def _frac_str(q: tuple[int, int] | None) -> str | None:
+    """A (numerator, denominator) pair as "num/den", None as None."""
+    return None if q is None else f"{q[0]}/{q[1]}"
 
 
 def run(args) -> tuple[dict, int]:

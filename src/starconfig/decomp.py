@@ -7,13 +7,14 @@ power of the irrelevant ideal; the saturation drops the irrelevant factor.
 Containment I^(m) in I^r is decided by the alpha rule, and the resurgence
 sup{m/r : I^(m) not in I^r} is c(s-c+1)/s for every c.
 
-All ratio arithmetic uses exact rationals; no floating point appears in any
-decision path.
+Ratios are (numerator, denominator) pairs of ints in lowest terms, compared
+by cross-multiplication; no floating point appears in any decision path.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from . import config
 from .errors import ResourceCapError, TheoremViolation, UsageError, over_cap
@@ -160,18 +161,29 @@ def criterion(n_dim: int, m: int, r: int) -> bool:
     return m * (n_dim + 1) < 3 * (n_dim - 1) * r - 2 * n_dim + 4
 
 
-def rho_exact(s: int, c: int) -> Fraction:
+def _lowest_terms(num: int, den: int) -> tuple[int, int]:
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _rho(s: int, c: int) -> tuple[int, int]:
     """The resurgence c(s-c+1)/s of the codimension-c skeleton: a supremum, not attained.
 
     alpha(I^(m)) >= ms/c, so by the alpha rule (symbolic_in_power) a cell with
     I^(m) not in I^r has m/r < c(s-c+1)/s; the cells m = ck,
     r = floor(sk/(s-c+1)) + 1 are not contained and approach it as k grows.
     It is 1 at c = 1, 2N/(N+1) at c = N = s-1 and 3(N-1)/(N+1) at c = N-1.
+    Returned in lowest terms, as (numerator, denominator).
     """
+    config.StarConfig(s, c)  # validate ranges
+    return _lowest_terms(c * (s - c + 1), s)
+
+
+def rho_exact(s: int, c: int) -> Fraction:
+    """The resurgence c(s-c+1)/s (see _rho) as a Fraction; fractions is imported here only, when called."""
     from fractions import Fraction
 
-    config.StarConfig(s, c)  # validate ranges
-    return Fraction(c * (s - c + 1), s)
+    return Fraction(*_rho(s, c))
 
 
 class ContainmentReport(Record):
@@ -180,8 +192,9 @@ class ContainmentReport(Record):
     s: int
     c: int
     entries: tuple[tuple[int, int, bool], ...]  # (m, r, contained)
-    empirical_sup: Fraction | None
-    rho: Fraction
+    # ratios as (numerator, denominator) in lowest terms
+    empirical_sup: tuple[int, int] | None
+    rho: tuple[int, int]
     # cells where the rational criterion disagrees with the computed
     # containment (the criterion is sufficient for non-containment but misses
     # boundary cases where 3r = alpha(I^(m)) + 1; see the tests)
@@ -199,8 +212,6 @@ def resurgence_scan(
     not attained (rho_exact); that is enforced.  A grid of more than
     SCAN_CELL_CAP cells is refused before any cell is computed.
     """
-    from fractions import Fraction
-
     config.StarConfig(s, c)  # validate ranges before the cell cap
     if m_max < 1 or r_max < 1:
         raise UsageError(f"need m_max, r_max >= 1, got {m_max}, {r_max}")
@@ -209,19 +220,22 @@ def resurgence_scan(
     n_dim = s - 1
     entries = []
     mismatches = []
-    sup: Fraction | None = None
+    sup: tuple[int, int] | None = None  # the largest m/r of a cell not contained
     for m in range(1, m_max + 1):
         for r in range(1, r_max + 1):
             contained = symbolic_in_power(s, c, m, r, r_cap=r_cap)
             entries.append((m, r, contained))
-            if not contained:
-                ratio = Fraction(m, r)
-                sup = ratio if sup is None or ratio > sup else sup
+            if not contained and (sup is None or m * sup[1] > sup[0] * r):
+                sup = (m, r)
             if c == n_dim - 1 and n_dim >= 3 and contained == criterion(n_dim, m, r):
                 mismatches.append((m, r))
-    rho = rho_exact(s, c)
-    if sup is not None and sup >= rho:
-        raise TheoremViolation(f"empirical supremum {sup} reaches the resurgence {rho} for s={s}, c={c}")
+    rho = _rho(s, c)
+    if sup is not None:
+        sup = _lowest_terms(*sup)
+        if sup[0] * rho[1] >= rho[0] * sup[1]:
+            raise TheoremViolation(
+                f"empirical supremum {sup[0]}/{sup[1]} reaches the resurgence {rho[0]}/{rho[1]} for s={s}, c={c}"
+            )
     return ContainmentReport(
         s=s,
         c=c,

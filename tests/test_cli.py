@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cli_cases import GOLDEN_COMMANDS
-from starconfig import cli, decomp, export, resolution, star
+from starconfig import cli, decomp, export, hilbert, jsontext, resolution, star
 
 GOLDEN = Path(__file__).parent / "golden"
 HUGE = str(10**3000)
@@ -317,10 +317,9 @@ IMPORT_LEAVES_OUT = (
 )
 IDEALS = ("starconfig.exponents", "starconfig.star", "starconfig.hilbert", "starconfig.resolution")
 RUN_LEAVES_OUT = {
-    # the resurgence half of decomp imports fractions when it runs
     "decomp --s 5 --c 3 --ell 3": IDEALS + ("fractions", "decimal", "json"),
     "containment --s 5 --c 2 --m 7 --r 5": IDEALS + ("fractions", "json"),
-    "scan --s 4 --c 2 --mmax 8 --rmax 5": IDEALS + ("json",),
+    "scan --s 4 --c 2 --mmax 8 --rmax 5": IDEALS + ("fractions", "decimal", "json"),
     "export --s 4 --c 2 --ell 2 --target m2-syntax": ("starconfig.star", "fractions", "json"),
     "hvector --s 6 --c 3 --ell 2": ("starconfig.exponents", "starconfig.decomp", "dataclasses", "inspect", "fractions", "json"),
     "betti --s 7 --c 3": ("starconfig.exponents", "starconfig.star", "json"),
@@ -371,10 +370,13 @@ def test_failed_check_exit_code(capsys, monkeypatch):
     assert json.loads(out)["failure_reason"]
 
 
-def test_csv_only_for_scan(capsys):
-    code, _, err = run(capsys, ["skeleton", "--s", "4", "--c", "2", "--format", "csv"])
-    assert code == 2
-    assert "csv" in err
+def test_csv_only_for_scan(capsys, monkeypatch):
+    # refused at parsing, before the command computes anything: matroid --s 16 --c 8 ran 1.4 s first
+    calls = [count_calls(monkeypatch, hilbert, "symbolic_h_vector"), count_calls(monkeypatch, star, "skeleton_complex")]
+    for argv in (["skeleton", "--s", "4", "--c", "2"], ["matroid", "--s", "16", "--c", "8"]):
+        code, out, err = run(capsys, argv + ["--format", "csv"])
+        assert (code, out, err) == (2, "", "error (usage): csv output is only defined for the scan command\n")
+    assert calls == [[], []]
 
 
 @pytest.mark.parametrize(
@@ -520,6 +522,30 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert first == second
 
 
+# report-shaped values: dicts with str keys, lists, tuples, str, int, bool, None
+JSON_TEXT = st.text(st.sampled_from('"\\\x00\b\t\n\x1f\x7f\x80\u00e9\u20ac\ufffd\U0001f600\U0010ffff') | st.characters())
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**64, -(2**64) - 1, 3**100]) | JSON_TEXT
+)
+REPORT_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner) | st.just(()) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORT_VALUES)
+def test_jsontext_writes_what_json_dumps_writes(value):
+    assert jsontext.dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, {"a": [0, 0.5]}, {1: "a key that is not a str"}])
+def test_jsontext_refuses_what_a_report_does_not_hold(value):
+    with pytest.raises(TypeError):
+        jsontext.dumps(value)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_golden(name, capsys):
     code, out, _ = run(capsys, GOLDEN_COMMANDS[name])
@@ -590,13 +616,38 @@ def test_process_with_a_broken_stdout_pipe_exits_2(fmt):
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+def imported(err: str) -> set[str]:
+    """The modules that a child run under `-X importtime` imported, from its stderr."""
+    return {line.rpartition("|")[2].strip() for line in err.splitlines() if line.startswith("import time:")}
+
+
 @pytest.mark.parametrize("argv", [["--help"]] + [[command, "--help"] for command in cli.COMMANDS], ids=["top-level", *cli.COMMANDS])
 def test_process_help_runs_the_cli_module_once(capsys, argv):
     # under -m the CLI module runs as __main__; importing it again as starconfig.cli would compile and run it twice
     code, out, err = finish(child(argv, python_flags=("-X", "importtime")))
-    imported = {line.rpartition("|")[2].strip() for line in err.splitlines() if line.startswith("import time:")}
-    assert code == 0 and "starconfig.usage" in imported and "starconfig.cli" not in imported
+    assert code == 0 and "starconfig.usage" in imported(err) and "starconfig.cli" not in imported(err)
     assert out.decode() == run(capsys, argv)[1]
+
+
+# ratios are int pairs and reports are written without json or csv; only export's --forms reads Fractions
+SERIALIZERS_AND_RATIONALS = {"json", "csv", "fractions", "decimal", "numbers"}
+PROCESS_CASES = [(argv, 0) for argv in GOLDEN_COMMANDS.values()] + [
+    # bench/workloads.py's containment-grid
+    ("scan --s 5 --c 3 --mmax 20 --rmax 8 --power-cap 8 --format json".split(), 0),
+    ("scan --s 6 --c 4 --mmax 12 --rmax 4 --power-cap 4 --format json".split(), 0),
+    ("containment --s 5 --c 2 --m 7 --r 5".split(), 0),
+    # a usage error and a cap refusal, each written as the JSON error object
+    ("hb --s 2 --m 1 --format json".split(), 2),
+    ("decomp --s 6 --c 2 --ell 2 --format json".split(), 3),
+]
+
+
+@pytest.mark.parametrize("argv, code", PROCESS_CASES, ids=[" ".join(argv) for argv, _ in PROCESS_CASES])
+def test_process_loads_no_serializer_or_rational_module(argv, code):
+    got, _, err = finish(child(argv, python_flags=("-X", "importtime")))
+    assert got == code
+    allowed = {"fractions", "decimal", "numbers"} if "--forms" in argv else set()
+    assert imported(err) & SERIALIZERS_AND_RATIONALS <= allowed
 
 
 @pytest.mark.parametrize("argv", [["skeleton", "--s", "4", "--c", "2"], ["--help"]])

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import ceil, comb, floor
+from math import ceil, comb, floor, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -254,13 +254,18 @@ def test_resurgence_is_approached_not_attained():
                 assert not decomp.symbolic_in_power(s, c, m, r, r_cap=r), (s, c, k)
                 assert rho * s * k / (s * k + d) <= Fraction(m, r) < rho, (s, c, k)
             rep = decomp.resurgence_scan(s, c, 12, 6, r_cap=6)
-            assert rep.empirical_sup is not None and rep.empirical_sup < rep.rho == rho
+            assert Fraction(*rep.rho) == rho and gcd(*rep.rho) == 1
+            # the largest ratio of a cell not contained, in lowest terms, below rho by cross-multiplication
+            num, den = rep.empirical_sup
+            assert Fraction(num, den) == max(Fraction(m, r) for m, r, contained in rep.entries if not contained)
+            assert gcd(num, den) == 1 and num * rep.rho[1] < rep.rho[0] * den
 
 
 def test_resurgence_scan_small():
     rep = decomp.resurgence_scan(4, 3, 6, 4)
-    assert rep.rho == Fraction(3, 2)
-    assert rep.empirical_sup is not None and rep.empirical_sup <= rep.rho
+    assert rep.rho == (3, 2)
+    num, den = rep.empirical_sup
+    assert num * 2 < 3 * den
     assert rep.criterion_mismatches == ()  # c = N: the criterion does not apply
     # monotone in m at fixed r: once contained, larger m stays contained
     by_r = {}
@@ -277,8 +282,8 @@ def test_resurgence_scan_small():
 def test_resurgence_scan_criterion_mismatch_bookkeeping():
     rep = decomp.resurgence_scan(4, 2, 12, 8)
     assert rep.criterion_mismatches == ((4, 3), (10, 7))
-    assert rep.empirical_sup == Fraction(10, 7)
-    assert rep.rho == Fraction(3, 2)
+    assert rep.empirical_sup == (10, 7)
+    assert rep.rho == (3, 2)
 
 
 def test_scan_validation():
