@@ -32,25 +32,24 @@ _EXPORTS = {
         "unit_ideal",
         "variable_ideal",
     ),
-    "hilbert": (
+    "shapes": (
         "HVector",
-        "bdg_hf_check",
+        "ResolutionShape",
+        "en_rank",
         "generic_hvector",
-        "h_vector",
         "ss_hvector_formula",
+        "ss_resolution",
         "symbolic_h_vector",
         "symbolic_numerator",
     ),
+    "hilbert": ("bdg_hf_check", "h_vector"),
     "resolution": (
-        "ResolutionShape",
         "SparsePoly",
         "SymbolicMatrix",
-        "en_rank",
         "euler_check",
         "expected_minor_monomials",
         "hb_matrix",
         "maximal_minors",
-        "ss_resolution",
         "verify_hb",
     ),
     "star": (

@@ -1,13 +1,13 @@
 """The `betti` command: the resolution shape of the symbolic square and its Euler check."""
 
-from .. import config, hilbert, resolution
+from .. import config, shapes
 
 
 def run(args) -> tuple[dict, int]:
     # first, so that the closed form's work check refuses a huge (s, c) before the shape is listed
-    numerator = hilbert.symbolic_numerator(config.StarConfig(args.s, args.c), 2)
-    shape = resolution.ss_resolution(args.s, args.c)
-    euler_ok = resolution.shape_numerator(shape) == numerator
+    numerator = shapes.symbolic_numerator(config.StarConfig(args.s, args.c), 2)
+    shape = shapes.ss_resolution(args.s, args.c)
+    euler_ok = shapes.shape_numerator(shape) == numerator
     report = {
         "params": {"s": args.s, "c": args.c},
         "caps": {},

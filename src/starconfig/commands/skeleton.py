@@ -1,15 +1,15 @@
 """The `skeleton` command: the skeleton ideal, its h-vector against the generic one, degree and alpha."""
 
-from .. import exponents as ex, hilbert, star
+from .. import exponents as ex, shapes, star
 from . import ideal_summary
 
 
 def run(args) -> tuple[dict, int]:
     cfg = star.StarConfig(args.s, args.c)
     # first, so that the closed form's work check refuses a huge skeleton before it is built
-    hv = hilbert.symbolic_h_vector(cfg, 1, d_cap=args.degree_cap)
+    hv = shapes.symbolic_h_vector(cfg, 1, d_cap=args.degree_cap)
     ideal = star.skeleton_ideal(cfg)
-    generic = hilbert.generic_hvector(args.s, args.c)
+    generic = shapes.generic_hvector(args.s, args.c)
     report = {
         "params": {"s": args.s, "c": args.c},
         "caps": {"degree_cap": args.degree_cap},

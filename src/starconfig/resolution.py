@@ -1,17 +1,15 @@
-"""Closed-form Betti tables, determinantal matrices, and exact symbolic minors.
+"""Hilbert-Burch matrices of codimension-2 symbolic powers, their exact minors, and the Euler check.
 
-The minimal free resolution of a skeleton ideal is the Eagon-Northcott
-resolution of the maximal minors of a generic matrix; the symbolic square
-resolves by a mapping cone built from two of those.  For codimension 2, every
-symbolic power is the ideal of maximal minors of an explicit block matrix
-whose entries are signed monomials in the s variables; those minors are
-computed here by exact cofactor expansion and compared against the predicted
-monomial family and the symbolic power itself.
+For codimension 2, every symbolic power is the ideal of maximal minors of an
+explicit block matrix whose entries are signed monomials in the s variables;
+those minors are computed here by exact cofactor expansion and compared
+against the predicted monomial family and the symbolic power itself.  The
+closed-form resolution shapes (Eagon-Northcott for the skeleton, a mapping
+cone for the symbolic square) live in starconfig.shapes; euler_check holds
+one against the pivot-recursion numerator of a built ideal.
 """
 
 from __future__ import annotations
-
-from math import comb
 
 from .errors import ResourceCapError, TheoremViolation, UsageError, over_cap
 from .record import Record
@@ -124,57 +122,10 @@ class SymbolicMatrix(Record):
         return self.entries[i][j]
 
 
-class ResolutionShape(Record):
-    """Per homological index i >= 1, the (twist, rank) pairs of the free module F_i."""
-
-    modules: tuple[tuple[tuple[int, int], ...], ...]
-
-    def length(self) -> int:
-        return len(self.modules)
-
-
-def en_rank(s: int, c: int, i: int) -> int:
-    """Rank of the i-th module in the linear resolution of the codimension-c skeleton ideal."""
-    if not 1 <= i <= c:
-        raise UsageError(f"homological index must satisfy 1 <= i <= c, got i={i}, c={c}")
-    return comb(s, s - c + i) * comb(s - c + i - 1, i - 1)
-
-
-def ss_resolution(s: int, c: int) -> ResolutionShape:
-    """Twists and ranks of the minimal free resolution of the symbolic square.
-
-    F_i carries rank M_i in twist -(2s-2c+1+i) and rank N_i in twist
-    -(s-c+1+i), with N_c = 0.
-    """
-    if not 2 <= c <= s - 1:
-        raise UsageError(f"need 2 <= c <= s-1, got c={c}, s={s}")
-    modules = []
-    for i in range(1, c + 1):
-        m_i = comb(s, s - c + i) * comb(s - c + i, i - 1)
-        n_i = comb(s, s - c + 1 + i) * comb(s - c + i, i - 1) if i <= c - 1 else 0
-        pairs = []
-        if n_i:
-            pairs.append((-(s - c + 1 + i), n_i))
-        pairs.append((-(2 * s - 2 * c + 1 + i), m_i))
-        modules.append(tuple(pairs))
-    return ResolutionShape(tuple(modules))
-
-
-def shape_numerator(shape: ResolutionShape) -> tuple[int, ...]:
-    """Hilbert-series numerator implied by a resolution shape of an ideal I: K(R/I)."""
-    from .hilbert import _poly_add  # here, so that hb loads no hilbert
-
-    out, sign = (1,), -1
-    for pairs in shape.modules:
-        for twist, rank in pairs:
-            out = _poly_add(out, (rank,), -twist, sign)
-        sign = -sign
-    return out
-
-
 def euler_check(shape: ResolutionShape, ideal: ex.MonomialIdeal) -> bool:
     """Whether the shape's alternating-sum numerator matches the ideal's Hilbert-series numerator."""
     from . import hilbert
+    from .shapes import shape_numerator  # here, so that hb compiles no shapes
 
     return shape_numerator(shape) == hilbert._numerator(ideal)
 
@@ -319,15 +270,11 @@ def verify_hb(s: int, m: int, minors: list[SparsePoly] | None = None) -> bool:
 
 __all__ = [
     "DET_DIMENSION_CAP",
-    "ResolutionShape",
     "SparsePoly",
     "SymbolicMatrix",
-    "en_rank",
     "euler_check",
     "expected_minor_monomials",
     "hb_matrix",
     "maximal_minors",
-    "shape_numerator",
-    "ss_resolution",
     "verify_hb",
 ]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cli_cases import GOLDEN_COMMANDS
-from starconfig import cli, decomp, export, hilbert, jsontext, resolution, star
+from starconfig import cli, decomp, export, jsontext, resolution, shapes, star
 
 GOLDEN = Path(__file__).parent / "golden"
 HUGE = str(10**3000)
@@ -90,7 +90,7 @@ def test_hb_computes_the_minors_once(capsys, monkeypatch):
 
 
 def test_betti_refuses_before_listing_the_shape(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, resolution, "ss_resolution")
+    calls = count_calls(monkeypatch, shapes, "ss_resolution")
     code, out, err = run(capsys, ["betti", "--s", "3000", "--c", "1500"])
     assert code == 3 and out == "" and "resource-cap" in err
     assert calls == []
@@ -314,17 +314,20 @@ def test_exhausted_resource_is_exit_3(capsys, monkeypatch, exc):
 IMPORT_LEAVES_OUT = (
     "numpy", "dataclasses", "inspect", "fractions", "json", "argparse", "gettext", "locale",
     "starconfig.config", "starconfig.commands", "starconfig.decomp", "starconfig.resolution",
+    "starconfig.shapes",
 )
-IDEALS = ("starconfig.exponents", "starconfig.star", "starconfig.hilbert", "starconfig.resolution")
+SHAPES = ("starconfig.shapes",)  # the closed forms
+RECURSION = ("starconfig.hilbert", "starconfig.resolution")  # the pivot recursion and the Hilbert-Burch minors
+IDEALS = ("starconfig.exponents", "starconfig.star") + RECURSION
 RUN_LEAVES_OUT = {
-    "decomp --s 5 --c 3 --ell 3": IDEALS + ("fractions", "decimal", "json"),
-    "containment --s 5 --c 2 --m 7 --r 5": IDEALS + ("fractions", "json"),
-    "scan --s 4 --c 2 --mmax 8 --rmax 5": IDEALS + ("fractions", "decimal", "json"),
+    "decomp --s 5 --c 3 --ell 3": IDEALS + SHAPES + ("fractions", "decimal", "json"),
+    "containment --s 5 --c 2 --m 7 --r 5": IDEALS + SHAPES + ("fractions", "json"),
+    "scan --s 4 --c 2 --mmax 8 --rmax 5": IDEALS + SHAPES + ("fractions", "decimal", "json"),
     "export --s 4 --c 2 --ell 2 --target m2-syntax": ("starconfig.star", "fractions", "json"),
-    "hvector --s 6 --c 3 --ell 2": ("starconfig.exponents", "starconfig.decomp", "dataclasses", "inspect", "fractions", "json"),
-    "betti --s 7 --c 3": ("starconfig.exponents", "starconfig.star", "json"),
-    "hb --s 4 --m 3": ("starconfig.hilbert", "json"),
-    "skeleton --s 5 --c 2": ("starconfig.resolution", "starconfig.decomp", "json"),
+    "hvector --s 6 --c 3 --ell 2": RECURSION + ("starconfig.exponents", "starconfig.decomp", "dataclasses", "inspect", "fractions", "json"),
+    "betti --s 7 --c 3": RECURSION + ("starconfig.exponents", "starconfig.star", "json"),
+    "hb --s 4 --m 3": SHAPES + ("starconfig.hilbert", "json"),
+    "skeleton --s 5 --c 2": RECURSION + ("starconfig.decomp", "json"),
 }
 
 
@@ -372,7 +375,7 @@ def test_failed_check_exit_code(capsys, monkeypatch):
 
 def test_csv_only_for_scan(capsys, monkeypatch):
     # refused at parsing, before the command computes anything: matroid --s 16 --c 8 ran 1.4 s first
-    calls = [count_calls(monkeypatch, hilbert, "symbolic_h_vector"), count_calls(monkeypatch, star, "skeleton_complex")]
+    calls = [count_calls(monkeypatch, shapes, "symbolic_h_vector"), count_calls(monkeypatch, star, "skeleton_complex")]
     for argv in (["skeleton", "--s", "4", "--c", "2"], ["matroid", "--s", "16", "--c", "8"]):
         code, out, err = run(capsys, argv + ["--format", "csv"])
         assert (code, out, err) == (2, "", "error (usage): csv output is only defined for the scan command\n")

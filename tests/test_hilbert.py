@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from starconfig import exponents as ex
-from starconfig import hilbert
+from starconfig import hilbert, shapes
 from starconfig.errors import ResourceCapError, UsageError
 from starconfig.star import StarConfig, skeleton_ideal, symbolic_power, wk_ideal
 
@@ -99,25 +99,25 @@ def test_h_vector_of_a_complete_intersection_has_no_default_cap():
 
 
 def test_generic_hvector():
-    assert hilbert.generic_hvector(4, 2).entries == (1, 2, 3)
-    assert hilbert.generic_hvector(7, 3).entries == (1, 3, 6, 10, 15)
+    assert shapes.generic_hvector(4, 2).entries == (1, 2, 3)
+    assert shapes.generic_hvector(7, 3).entries == (1, 3, 6, 10, 15)
     for s in range(2, 11):
         for c in range(1, s):
-            hv = hilbert.generic_hvector(s, c)
+            hv = shapes.generic_hvector(s, c)
             assert len(hv.entries) == s - c + 1
             assert hv.total() == comb(s, c)
 
 
 def test_ss_hvector_formula():
-    assert hilbert.ss_hvector_formula(7, 3).entries == (1, 3, 6, 10, 15, 21, 21, 21, 21, 21)
+    assert shapes.ss_hvector_formula(7, 3).entries == (1, 3, 6, 10, 15, 21, 21, 21, 21, 21)
     for s in range(2, 9):
         for c in range(1, s):
-            assert hilbert.ss_hvector_formula(s, c).total() == (c + 1) * comb(s, c)
+            assert shapes.ss_hvector_formula(s, c).total() == (c + 1) * comb(s, c)
     # degenerate s = c + 1 case, frozen from the formula and brute differencing
     for c in (1, 2, 3):
         expected = (1, c, comb(c + 1, 2), comb(c + 1, 2))
         expected = tuple(e for e in expected if e)  # c = 1 keeps the plateau of ones
-        assert hilbert.ss_hvector_formula(c + 1, c).entries == expected
+        assert shapes.ss_hvector_formula(c + 1, c).entries == expected
         brute = hilbert.h_vector(symbolic_power(StarConfig(c + 1, c), 2), c)
         assert brute.entries == expected
 
@@ -126,15 +126,15 @@ def test_ss_hvector_matches_brute_for_small_grid():
     for s in range(3, 6):
         for c in range(1, s):
             hv = hilbert.h_vector(symbolic_power(StarConfig(s, c), 2), c)
-            assert hv.entries == hilbert.ss_hvector_formula(s, c).entries
+            assert hv.entries == shapes.ss_hvector_formula(s, c).entries
 
 
 def test_ss_hvector_shares_generic_prefix():
     # entries through degree s-c agree with the generic h-vector
     for s in range(3, 8):
         for c in range(2, s):
-            ss = hilbert.ss_hvector_formula(s, c).entries
-            generic = hilbert.generic_hvector(s, c).entries
+            ss = shapes.ss_hvector_formula(s, c).entries
+            generic = shapes.generic_hvector(s, c).entries
             assert ss[: s - c + 1] == generic
 
 
@@ -145,8 +145,8 @@ def test_ss_hvector_agrees_with_lower_skeleton_through_bound():
     # generic h-vector on that range
     for s in range(3, 8):
         for c in range(2, s):
-            ss = hilbert.ss_hvector_formula(s, c).entries
-            lower = hilbert.generic_hvector(s, c - 1).entries
+            ss = shapes.ss_hvector_formula(s, c).entries
+            lower = shapes.generic_hvector(s, c - 1).entries
             total = 0
             for t in range(2 * s - 2 * c + 2):
                 total += lower[t] if t < len(lower) else 0
@@ -199,11 +199,11 @@ def test_wk_numerator_closed_form():
     cases = 0
     for s in range(3, 7):
         for ell in range(1, 5):
-            one_minus_k_ell = hilbert._poly_add((1,), hilbert.symbolic_numerator(StarConfig(s, 2), ell), 0, -1)
+            one_minus_k_ell = shapes._poly_add((1,), shapes.symbolic_numerator(StarConfig(s, 2), ell), 0, -1)
             for k in range(s + 1):
                 d = (k - 1) * (ell + 2) + (s - k) * (ell + 1)
-                expected = hilbert._poly_add((1,), one_minus_k_ell, k, -1)
-                expected = hilbert._poly_add(expected, (k, -k), d, -1)
+                expected = shapes._poly_add((1,), one_minus_k_ell, k, -1)
+                expected = shapes._poly_add(expected, (k, -k), d, -1)
                 assert hilbert._numerator(wk_ideal(s, ell, k)) == expected, (s, ell, k)
                 cases += 1
     assert cases == 88
@@ -270,7 +270,7 @@ def test_symbolic_numerator_matches_pivot_recursion(data):
     s = data.draw(st.integers(2, 7))
     cfg = StarConfig(s, data.draw(st.integers(1, s - 1)))
     ell = data.draw(st.integers(1, 6))
-    assert hilbert.symbolic_numerator(cfg, ell) == hilbert._numerator(symbolic_power(cfg, ell))
+    assert shapes.symbolic_numerator(cfg, ell) == hilbert._numerator(symbolic_power(cfg, ell))
 
 
 def test_symbolic_numerator_matches_pivot_recursion_on_a_grid():
@@ -280,30 +280,30 @@ def test_symbolic_numerator_matches_pivot_recursion_on_a_grid():
         for c in range(1, s):
             cfg = StarConfig(s, c)
             for ell in range(1, 7 if s < 8 else 5):
-                assert hilbert.symbolic_numerator(cfg, ell) == hilbert._numerator(symbolic_power(cfg, ell)), (s, c, ell)
+                assert shapes.symbolic_numerator(cfg, ell) == hilbert._numerator(symbolic_power(cfg, ell)), (s, c, ell)
 
 
 def test_symbolic_h_vector_matches_h_vector():
     for s, c, ell in [(4, 2, 1), (7, 3, 2), (5, 2, 3), (6, 3, 5), (6, 5, 4)]:
         cfg = StarConfig(s, c)
         ideal = symbolic_power(cfg, ell)
-        assert hilbert.symbolic_h_vector(cfg, ell) == hilbert.h_vector(ideal, c)
+        assert shapes.symbolic_h_vector(cfg, ell) == hilbert.h_vector(ideal, c)
     with pytest.raises(ResourceCapError):
-        hilbert.symbolic_h_vector(StarConfig(5, 2), 3, d_cap=4)
+        shapes.symbolic_h_vector(StarConfig(5, 2), 3, d_cap=4)
 
 
 def test_symbolic_numerator_refusals():
     with pytest.raises(UsageError):
-        hilbert.symbolic_numerator(StarConfig(4, 2), 0)
+        shapes.symbolic_numerator(StarConfig(4, 2), 0)
     with pytest.raises(ResourceCapError):
-        hilbert.symbolic_numerator(StarConfig(400, 200), 400)
+        shapes.symbolic_numerator(StarConfig(400, 200), 400)
     with pytest.raises(ResourceCapError):  # few coefficients, each about 3000 bits
-        hilbert.symbolic_numerator(StarConfig(3000, 1500), 1)
+        shapes.symbolic_numerator(StarConfig(3000, 1500), 1)
 
 
 def test_symbolic_numerator_long_coefficients():
     # under the cap with coefficients of hundreds of bits: checked through the
     # h-vector sum, the degree C(s,c) * C(ell+c-1,c) of R/I^(ell)
     for s, c, ell in [(300, 150, 1), (200, 100, 2), (120, 60, 3)]:
-        hv = hilbert.symbolic_h_vector(StarConfig(s, c), ell)
+        hv = shapes.symbolic_h_vector(StarConfig(s, c), ell)
         assert sum(hv.entries) == comb(s, c) * comb(ell + c - 1, c)

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from starconfig import exponents as ex
-from starconfig import hilbert, resolution
+from starconfig import hilbert, resolution, shapes
 from starconfig.errors import ResourceCapError, TheoremViolation, UsageError
 from starconfig.resolution import SparsePoly, SymbolicMatrix
 from starconfig.star import StarConfig, skeleton_ideal, symbolic_power
@@ -60,24 +60,24 @@ def test_sparse_poly_str():
 
 
 def test_en_rank():
-    assert resolution.en_rank(7, 2, 1) == 7
-    assert resolution.en_rank(7, 2, 2) == 6
+    assert shapes.en_rank(7, 2, 1) == 7
+    assert shapes.en_rank(7, 2, 2) == 6
     for c in range(1, 6):
         for i in range(1, c + 1):
-            assert resolution.en_rank(c, c, i) == comb(c, i)
+            assert shapes.en_rank(c, c, i) == comb(c, i)
     # first module rank equals the skeleton generator count
     for s in range(2, 8):
         for c in range(1, s):
-            assert resolution.en_rank(s, c, 1) == comb(s, c - 1)
-            assert resolution.en_rank(s, c, 1) == len(skeleton_ideal(StarConfig(s, c)).gens)
+            assert shapes.en_rank(s, c, 1) == comb(s, c - 1)
+            assert shapes.en_rank(s, c, 1) == len(skeleton_ideal(StarConfig(s, c)).gens)
     with pytest.raises(UsageError):
-        resolution.en_rank(7, 2, 3)
+        shapes.en_rank(7, 2, 3)
     with pytest.raises(UsageError):
-        resolution.en_rank(7, 2, 0)
+        shapes.en_rank(7, 2, 0)
 
 
 def test_ss_resolution_worked_example():
-    shape = resolution.ss_resolution(7, 3)
+    shape = shapes.ss_resolution(7, 3)
     assert shape.modules == (
         ((-6, 7), (-10, 21)),
         ((-7, 6), (-11, 42)),
@@ -88,7 +88,7 @@ def test_ss_resolution_worked_example():
 def test_ss_resolution_last_module_has_single_twist():
     for s in range(3, 8):
         for c in range(2, s):
-            shape = resolution.ss_resolution(s, c)
+            shape = shapes.ss_resolution(s, c)
             assert shape.length() == c
             assert len(shape.modules[-1]) == 1  # N_c = 0
 
@@ -100,23 +100,23 @@ def test_ss_resolution_first_module_matches_generator_histogram():
             histogram = {}
             for g in gens:
                 histogram[-sum(g)] = histogram.get(-sum(g), 0) + 1
-            f1 = dict(resolution.ss_resolution(s, c).modules[0])
+            f1 = dict(shapes.ss_resolution(s, c).modules[0])
             assert histogram == f1
 
 
 def test_euler_check():
     for s, c in [(4, 2), (7, 3), (5, 4)]:
-        shape = resolution.ss_resolution(s, c)
+        shape = shapes.ss_resolution(s, c)
         ideal = symbolic_power(StarConfig(s, c), 2)
         assert resolution.euler_check(shape, ideal)
     # perturbing any rank by one breaks it
-    shape = resolution.ss_resolution(4, 2)
+    shape = shapes.ss_resolution(4, 2)
     ideal = symbolic_power(StarConfig(4, 2), 2)
     for i, pairs in enumerate(shape.modules):
         for j, (twist, rank) in enumerate(pairs):
             perturbed = [list(map(list, p)) for p in shape.modules]
             perturbed[i][j] = [twist, rank + 1]
-            bad = resolution.ResolutionShape(
+            bad = shapes.ResolutionShape(
                 tuple(tuple(tuple(q) for q in p) for p in perturbed)
             )
             assert not resolution.euler_check(bad, ideal)
@@ -248,6 +248,6 @@ def test_maximal_minors_shape_check():
 
 def test_shape_numerator_matches_numerator():
     for s, c in [(4, 2), (5, 2), (5, 3)]:
-        shape = resolution.ss_resolution(s, c)
+        shape = shapes.ss_resolution(s, c)
         ideal = symbolic_power(StarConfig(s, c), 2)
-        assert resolution.shape_numerator(shape) == hilbert._numerator(ideal)
+        assert shapes.shape_numerator(shape) == hilbert._numerator(ideal)
