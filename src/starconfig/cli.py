@@ -2,9 +2,9 @@
 
 Every command builds a plain-dict report and renders it as text, json (by
 starconfig.jsontext, imported only for it), or csv (scan only, checked at
-parsing).  Reports are byte-deterministic: identical inputs produce
-identical output regardless of the --jobs hint, which is validated but
-deliberately not echoed.
+parsing, and written by starconfig.commands.scan).  Reports are
+byte-deterministic: identical inputs produce identical output regardless of
+the --jobs hint, which is validated but deliberately not echoed.
 
 Exit codes: 0 computed/verified (and -h/--help), 1 theorem check failed
 (witness printed), 2 usage error, 3 resource cap exceeded.  A report that
@@ -33,7 +33,6 @@ import importlib
 import io
 import os
 import sys
-from math import gcd
 from types import SimpleNamespace
 
 from .errors import ResourceCapError, TheoremViolation, UsageError
@@ -110,23 +109,12 @@ def _scalar(value) -> str:
     return str(value)
 
 
-def _render_csv(report: dict) -> str:
-    """A scan report's grid; its fields are ints and true/false, which csv never quotes."""
-    rows = ["m,r,contained,ratio_num,ratio_den\n"]
-    for entry in report["entries"]:
-        m, r = entry["m"], entry["r"]
-        g = gcd(m, r)  # m/r in lowest terms
-        rows.append(f"{m},{r},{'true' if entry['contained'] else 'false'},{m // g},{r // g}\n")
-    return "".join(rows)
-
-
 def render(report: dict, fmt: str) -> str:
+    """The report as json or text; csv comes from the command's own module."""
     if fmt == "json":
         from .jsontext import dumps
 
         return dumps(report) + "\n"
-    if fmt == "csv":
-        return _render_csv(report)
     return _render_text(report)
 
 
@@ -144,8 +132,7 @@ _POWER_CAP = ("--power-cap", "STARCONFIG_POWER_CAP")
 COMMANDS = {
     "skeleton": ("skeleton ideal: generators, h-vector, degree, alpha", ("c",), (_DEGREE_CAP,)),
     "symbolic": ("symbolic power: generators, alpha/omega vs closed forms", ("c", "ell"), (
-        ("--enum-cap", "STARCONFIG_ENUM_CAP"),
-        ("--max-listed", {"type": int, "default": 64, "help": "list generators only up to this count"}))),
+        ("--enum-cap", "STARCONFIG_ENUM_CAP"),)),
     "hvector": ("h-vector of the skeleton (--ell 1) or a symbolic power", ("c",), (
         ("--ell", {"type": int, "default": 1}), _DEGREE_CAP)),
     "betti": ("resolution shape of the symbolic square plus the Euler check", ("c",), ()),
@@ -251,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         report = {"command": args.command, **report}
         if code == 1:
             report["failure_reason"] = "a verified identity did not hold; see the report fields"
-        _write(render(report, args.format), args.output)
+        _write(command.render_csv(report) if args.format == "csv" else render(report, args.format), args.output)
     except UsageError as exc:
         _emit_error(args, "usage", str(exc))
         return 2

@@ -2,8 +2,9 @@
 
 Each module's run(args) takes the parsed arguments and returns (report dict,
 exit code); cli puts the command's name first in the report, and imports
-only the module of the command it runs.  The library modules are called as
-module attributes, so monkeypatches and tracing wrappers on them apply.
+only the module of the command it runs (scan's render_csv writes its csv).
+The library modules are called as module attributes, so monkeypatches and
+tracing wrappers on them apply.
 """
 
 

@@ -4,8 +4,10 @@ from .. import config, shapes
 
 
 def run(args) -> tuple[dict, int]:
+    cfg = config.StarConfig(args.s, args.c)
+    shapes.check_ss(args.s, args.c)  # c = 1 is malformed here, however large s is: refused before any work check
     # first, so that the closed form's work check refuses a huge (s, c) before the shape is listed
-    numerator = shapes.symbolic_numerator(config.StarConfig(args.s, args.c), 2)
+    numerator = shapes.symbolic_numerator(cfg, 2)
     shape = shapes.ss_resolution(args.s, args.c)
     euler_ok = shapes.shape_numerator(shape) == numerator
     report = {

@@ -1,9 +1,11 @@
 """The `hb` command: the determinantal matrix, its maximal minors and the minor-ideal check."""
 
-from .. import resolution
+from .. import config, resolution
 
 
 def run(args) -> tuple[dict, int]:
+    if args.m >= 2:  # else hb_matrix refuses m first, with its own line
+        config.check_codim2(args.s)  # verify_hb compares with the codimension-2 skeleton: refused before any matrix
     matrix = resolution.hb_matrix(args.s, args.m)
     minors = resolution.maximal_minors(matrix)
     verified = resolution.verify_hb(args.s, args.m, minors)

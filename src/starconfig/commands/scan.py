@@ -1,4 +1,6 @@
-"""The `scan` command: the containment grid with its empirical supremum and the resurgence."""
+"""The `scan` command: the containment grid with its empirical supremum and the resurgence, and its csv rows."""
+
+from math import gcd
 
 from .. import decomp
 
@@ -22,3 +24,13 @@ def run(args) -> tuple[dict, int]:
         "criterion_mismatches": [list(p) for p in rep.criterion_mismatches],
     }
     return report, 0
+
+
+def render_csv(report: dict) -> str:
+    """The report's grid; its fields are ints and true/false, which csv never quotes."""
+    rows = ["m,r,contained,ratio_num,ratio_den\n"]
+    for entry in report["entries"]:
+        m, r = entry["m"], entry["r"]
+        g = gcd(m, r)  # m/r in lowest terms
+        rows.append(f"{m},{r},{'true' if entry['contained'] else 'false'},{m // g},{r // g}\n")
+    return "".join(rows)

@@ -3,6 +3,8 @@
 from .. import exponents as ex, star
 from . import ideal_summary
 
+MAX_LISTED = 64  # generators are listed only up to this count
+
 
 def run(args) -> tuple[dict, int]:
     cfg = star.StarConfig(args.s, args.c)
@@ -14,7 +16,7 @@ def run(args) -> tuple[dict, int]:
     report = {
         "params": {"s": args.s, "c": args.c, "ell": args.ell},
         "caps": {"enum_cap": cap},
-        "ideal": ideal_summary(ideal, list_gens=len(ideal.gens) <= args.max_listed),
+        "ideal": ideal_summary(ideal, list_gens=len(ideal.gens) <= MAX_LISTED),
         "alpha": a,
         "omega": o,
         "alpha_formula": a_formula,

@@ -1,8 +1,8 @@
 """The skeleton's parameters and the closed forms that need nothing else.
 
-StarConfig, the exponent check, the default enumeration cap and the alpha
-and omega formulas of the symbolic powers, which star re-exports, and
-comb_past, the binomial the refusals compare with a cap.  This module
+StarConfig, the exponent and codimension-2 checks, the default enumeration
+cap, the alpha and omega formulas of the symbolic powers, which star
+re-exports, and comb_past, the binomial the refusals compare with a cap.  This module
 imports only errors and record, so code that needs (s, c) and these
 formulas loads no ideal arithmetic.
 """
@@ -20,6 +20,12 @@ def check_ell(ell: int) -> None:
     """Refuse a symbolic or ordinary power exponent below 1 as a usage error."""
     if ell < 1:
         raise UsageError(f"need ell >= 1, got {ell}")
+
+
+def check_codim2(s: int) -> None:
+    """Refuse s < 3 as a usage error: the codimension-2 skeleton needs 2 <= s-1."""
+    if s < 3:
+        raise UsageError(f"codimension-2 configurations need s >= 3, got {s}")
 
 
 def comb_past(n: int, k: int, cap: int) -> int:
@@ -69,4 +75,4 @@ def omega_symbolic_formula(cfg: StarConfig, ell: int) -> int:
     return ell * (cfg.s - cfg.c + 1)
 
 
-__all__ = ["DEFAULT_ENUM_CAP", "StarConfig", "alpha_symbolic_formula", "check_ell", "omega_symbolic_formula"]
+__all__ = ["DEFAULT_ENUM_CAP", "StarConfig", "alpha_symbolic_formula", "check_codim2", "check_ell", "omega_symbolic_formula"]

@@ -189,8 +189,6 @@ def rho_exact(s: int, c: int) -> Fraction:
 class ContainmentReport(Record):
     """Grid of containment results with the empirical ratio supremum and the resurgence."""
 
-    s: int
-    c: int
     entries: tuple[tuple[int, int, bool], ...]  # (m, r, contained)
     # ratios as (numerator, denominator) in lowest terms
     empirical_sup: tuple[int, int] | None
@@ -198,7 +196,7 @@ class ContainmentReport(Record):
     # cells where the rational criterion disagrees with the computed
     # containment (the criterion is sufficient for non-containment but misses
     # boundary cases where 3r = alpha(I^(m)) + 1; see the tests)
-    criterion_mismatches: tuple[tuple[int, int], ...] = ()
+    criterion_mismatches: tuple[tuple[int, int], ...]
 
 
 def resurgence_scan(
@@ -236,14 +234,7 @@ def resurgence_scan(
             raise TheoremViolation(
                 f"empirical supremum {sup[0]}/{sup[1]} reaches the resurgence {rho[0]}/{rho[1]} for s={s}, c={c}"
             )
-    return ContainmentReport(
-        s=s,
-        c=c,
-        entries=tuple(entries),
-        empirical_sup=sup,
-        rho=rho,
-        criterion_mismatches=tuple(mismatches),
-    )
+    return ContainmentReport(tuple(entries), sup, rho, tuple(mismatches))
 
 
 __all__ = [

@@ -90,7 +90,7 @@ def h_vector(ideal: ex.MonomialIdeal, c: int) -> HVector:
                 f"h-vector entries fail to stabilize at zero; is the ideal of codimension {c}?"
             )
         entries = list(accumulate(entries[:-1]))
-    return HVector(_poly_trim(entries), c)
+    return HVector(_poly_trim(entries))
 
 
 def bdg_hf_check(

@@ -1,7 +1,7 @@
 """Immutable value records: the package's value types, built without importing anything.
 
-A record class lists its fields as class annotations, in order; a class
-attribute of the same name is that field's default.
+A record class lists its fields as class annotations, in order, and is
+built from exactly those fields, positionally.
 
     class StarConfig(Record):
         s: int
@@ -16,8 +16,9 @@ class Record:
 
     Instances equal only instances of the same class with equal fields, hash
     as the tuple of their fields, refuse attribute assignment and deletion,
-    and repr as ``Name(field=value, ...)``.  A subclass that checks its
-    fields overrides ``_validate``, which runs once they are set.
+    and repr as ``Name(field=value, ...)``.  A wrong number of fields (or a
+    keyword) raises TypeError.  A subclass that checks its fields overrides
+    ``_validate``, which runs once they are set.
     """
 
     _fields: tuple[str, ...] = ()
@@ -26,29 +27,12 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
 
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._fields):
-            args = self._bind(args, kwargs)
+    def __init__(self, *args):
+        if len(args) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields, got {len(args)}")
         for name, value in zip(self._fields, args):
             _set(self, name, value)
         self._validate()
-
-    def _bind(self, args: tuple, kwargs: dict) -> list:
-        """The field values in order, from positional and keyword arguments and defaults."""
-        cls = type(self)
-        if len(args) > len(cls._fields):
-            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(args)}")
-        values = list(args)
-        for name in cls._fields[len(args) :]:
-            if name in kwargs:
-                values.append(kwargs.pop(name))
-            elif name in cls.__dict__:
-                values.append(cls.__dict__[name])
-            else:
-                raise TypeError(f"{cls.__name__} is missing field {name!r}")
-        if kwargs:
-            raise TypeError(f"{cls.__name__} got unexpected or repeated fields {sorted(kwargs)}")
-        return values
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -246,12 +246,14 @@ def expected_minor_monomials(s: int, m: int) -> set[ex.Exponent]:
 def verify_hb(s: int, m: int, minors: list[SparsePoly] | None = None) -> bool:
     """Whether the maximal minors of hb_matrix(s, m) generate exactly the m-th symbolic power.
 
-    Pass the minors when they are already computed; otherwise they are.
-    Every minor must be plus or minus a single monomial; a minor with more
-    terms is a theorem violation and raises with the witness.
+    An s < 3 is refused first (check_codim2).  Pass the minors when they
+    are already computed; otherwise they are.  Every minor must be plus or
+    minus a single monomial; a minor with more terms is a theorem violation
+    and raises with the witness.
     """
     from . import exponents as ex, star
 
+    star.check_codim2(s)
     if minors is None:
         minors = maximal_minors(hb_matrix(s, m))
     exps = []

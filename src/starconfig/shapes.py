@@ -26,7 +26,6 @@ class HVector(Record):
     """An h-vector: the (s-c)-th difference of a Hilbert function, trailing zeros trimmed."""
 
     entries: tuple[int, ...]
-    codim: int
 
     def total(self) -> int:
         """Sum of entries; the scheme degree when the ideal is unmixed of this codimension."""
@@ -124,7 +123,7 @@ def symbolic_h_vector(cfg: config.StarConfig, ell: int, d_cap: int | None = None
                 weight = comb(s, p)
                 for i, x in enumerate(_poly_mul(spread[:top], rows[p]), v * (s - p)):
                     n[i] += weight * x
-    return HVector(_poly_trim(n), c)
+    return HVector(_poly_trim(n))
 
 
 def symbolic_numerator(cfg: config.StarConfig, ell: int) -> tuple[int, ...]:
@@ -143,7 +142,7 @@ def generic_hvector(s: int, c: int) -> HVector:
     """The generic h-vector of the codimension-c skeleton: binom(t+c-1, c-1) for t = 0..s-c."""
     if not 1 <= c <= s - 1:
         raise UsageError(f"need 1 <= c <= s-1, got c={c}, s={s}")
-    return HVector(tuple(comb(t + c - 1, c - 1) for t in range(s - c + 1)), c)
+    return HVector(tuple(comb(t + c - 1, c - 1) for t in range(s - c + 1)))
 
 
 def ss_hvector_formula(s: int, c: int) -> HVector:
@@ -156,7 +155,7 @@ def ss_hvector_formula(s: int, c: int) -> HVector:
         raise UsageError(f"need 1 <= c <= s-1, got c={c}, s={s}")
     entries = [comb(t + c - 1, c - 1) for t in range(s - c + 1)]
     entries += [comb(s, c - 1)] * ((2 * s - 2 * c + 1) - (s - c + 1) + 1)
-    return HVector(tuple(entries), c)
+    return HVector(tuple(entries))
 
 
 class ResolutionShape(Record):
@@ -175,14 +174,19 @@ def en_rank(s: int, c: int, i: int) -> int:
     return comb(s, s - c + i) * comb(s - c + i - 1, i - 1)
 
 
+def check_ss(s: int, c: int) -> None:
+    """Refuse a (s, c) outside ss_resolution's range 2 <= c <= s-1 as a usage error."""
+    if not 2 <= c <= s - 1:
+        raise UsageError(f"need 2 <= c <= s-1, got c={c}, s={s}")
+
+
 def ss_resolution(s: int, c: int) -> ResolutionShape:
     """Twists and ranks of the minimal free resolution of the symbolic square.
 
     F_i carries rank M_i in twist -(2s-2c+1+i) and rank N_i in twist
     -(s-c+1+i), with N_c = 0.
     """
-    if not 2 <= c <= s - 1:
-        raise UsageError(f"need 2 <= c <= s-1, got c={c}, s={s}")
+    check_ss(s, c)
     modules = []
     for i in range(1, c + 1):
         m_i = comb(s, s - c + i) * comb(s - c + i, i - 1)
@@ -208,6 +212,7 @@ def shape_numerator(shape: ResolutionShape) -> tuple[int, ...]:
 __all__ = [
     "HVector",
     "ResolutionShape",
+    "check_ss",
     "en_rank",
     "generic_hvector",
     "shape_numerator",

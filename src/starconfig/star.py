@@ -19,7 +19,9 @@ from functools import lru_cache
 from math import comb
 
 from . import exponents as ex
-from .config import DEFAULT_ENUM_CAP, StarConfig, alpha_symbolic_formula, check_ell, comb_past, omega_symbolic_formula
+from .config import (
+    DEFAULT_ENUM_CAP, StarConfig, alpha_symbolic_formula, check_codim2, check_ell, comb_past, omega_symbolic_formula
+)
 from .errors import ResourceCapError, UsageError, over_cap
 from .record import Record
 
@@ -225,8 +227,7 @@ def stanley_reisner_ideal(complex_: SimplicialComplex) -> ex.MonomialIdeal:
 
 def check_wk(s: int, ell: int) -> None:
     """Refuse s < 3 or ell < 1 as usage errors, and an s whose W_k chain checks pass the enum cap."""
-    if s < 3:
-        raise UsageError(f"codimension-2 configurations need s >= 3, got {s}")
+    check_codim2(s)
     check_ell(ell)
     # the chain checks run the Hilbert numerator recursion on W_k, which has no cap of its own;
     # (ell+3)^s >= 2^s passes the cap once s reaches the cap's bit length, so a huge power is never computed
@@ -288,6 +289,7 @@ __all__ = [
     "SimplicialComplex",
     "StarConfig",
     "alpha_symbolic_formula",
+    "check_codim2",
     "check_ell",
     "check_lemma_contain",
     "check_wk",

@@ -89,6 +89,29 @@ def test_hb_computes_the_minors_once(capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
 
 
+def test_hb_refuses_s_below_3_before_any_matrix(capsys, monkeypatch):
+    # verify_hb compares the minors with the codimension-2 skeleton, which needs s >= 3
+    calls = [count_calls(monkeypatch, resolution, name) for name in ("hb_matrix", "maximal_minors")]
+    for s, m in [(2, 2), (2, 3), (2, 7), (1, 4)]:
+        code, out, err = run(capsys, ["hb", "--s", str(s), "--m", str(m)])
+        assert (code, out, err) == (2, "", f"error (usage): codimension-2 configurations need s >= 3, got {s}\n")
+    assert calls == [[], []]
+    # m is checked first, by hb_matrix before it builds anything, so hb --s 2 --m 1 keeps its line
+    code, out, err = run(capsys, ["hb", "--s", "2", "--m", "1"])
+    assert (code, out, err) == (2, "", "error (usage): the matrix is defined for m >= 2, got m=1\n")
+    assert calls == [[(2, 1)], []]
+
+
+def test_betti_refuses_c_1_before_the_closed_form(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, shapes, "symbolic_numerator")
+    for s in (5, 1000000):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["betti", "--s", str(s), "--c", "1"])
+        assert (code, out, err) == (2, "", f"error (usage): need 2 <= c <= s-1, got c=1, s={s}\n")
+        assert time.perf_counter() - start < 0.5
+    assert calls == []
+
+
 def test_betti_refuses_before_listing_the_shape(capsys, monkeypatch):
     calls = count_calls(monkeypatch, shapes, "ss_resolution")
     code, out, err = run(capsys, ["betti", "--s", "3000", "--c", "1500"])
@@ -285,6 +308,7 @@ def test_nonpositive_cap_flag_is_usage_error(capsys, argv):
         ["decomp", "--s", "6", "--c", "2", "--ell", "0"],
         ["containment", "--s", "5", "--c", "9", "--m", "2", "--r", "20"],
         ["scan", "--s", "5", "--c", "9", "--mmax", "1000", "--rmax", "1000"],
+        ["betti", "--s", "1000000", "--c", "1"],
     ],
 )
 def test_malformed_input_is_rejected_before_a_cap_refuses_it(capsys, argv):

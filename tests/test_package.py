@@ -24,16 +24,15 @@ RECORDS = [
     (sc.StarConfig, (4, 2), (4, 3), (4, 4), "StarConfig(s=4, c=2)"),
     (sc.SimplicialComplex, (3, ((0, 1), (1, 2))), (3, ((0, 1),)), (3, ((0, 3),)),
      "SimplicialComplex(vertex_count=3, facets=((0, 1), (1, 2)))"),
-    (sc.HVector, ((1, 2), 1), ((1, 3), 1), None, "HVector(entries=(1, 2), codim=1)"),
+    (sc.HVector, ((1, 2),), ((1, 3),), None, "HVector(entries=(1, 2))"),
     (sc.SparsePoly, (1, (((1,), 1),)), (1, ()), None, "SparsePoly(arity=1, terms=(((1,), 1),))"),
     (sc.SymbolicMatrix, (1, 1, ((_EMPTY,),)), (1, 1, ((_X0,),)), (2, 1, ((_EMPTY,),)),
      "SymbolicMatrix(rows=1, cols=1, entries=((SparsePoly(arity=1, terms=()),),))"),
     (sc.ResolutionShape, ((((-2, 3),),),), ((((-2, 4),),),), None,
      "ResolutionShape(modules=(((-2, 3),),))"),
-    (sc.ContainmentReport, (4, 2, ((1, 1, True),), None, (3, 2)),
-     (4, 2, ((1, 1, True),), None, (3, 2), ((1, 1),)), None,
-     "ContainmentReport(s=4, c=2, entries=((1, 1, True),), empirical_sup=None, "
-     "rho=(3, 2), criterion_mismatches=())"),
+    (sc.ContainmentReport, (((1, 1, True),), None, (3, 2), ()),
+     (((1, 1, True),), None, (3, 2), ((1, 1),)), None,
+     "ContainmentReport(entries=((1, 1, True),), empirical_sup=None, rho=(3, 2), criterion_mismatches=())"),
 ]
 
 
@@ -56,6 +55,13 @@ def test_record_semantics(cls, fields, other, invalid, text):
     assert repr(value) == text
     with pytest.raises(TypeError):
         cls()
+    # built from exactly its fields, positionally: a keyword, a missing field or an extra field is a TypeError
+    with pytest.raises(TypeError):
+        cls(*fields[:-1], **{cls._fields[-1]: fields[-1]})
+    with pytest.raises(TypeError):
+        cls(*fields[:-1])
+    with pytest.raises(TypeError):
+        cls(*fields, fields[-1])
     if invalid is not None:
         with pytest.raises(UsageError):
             cls(*invalid)

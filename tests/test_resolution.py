@@ -228,6 +228,14 @@ def test_verify_hb_small():
     assert resolution.verify_hb(4, 2)
 
 
+def test_verify_hb_refuses_s_below_3_before_building(monkeypatch):
+    # hb_matrix takes s = 2 (it presents (x_0, x_1)^m); verify_hb compares with the codimension-2 skeleton
+    monkeypatch.setattr(resolution, "maximal_minors", None)  # never reached
+    for s in (1, 2):
+        with pytest.raises(UsageError, match=f"codimension-2 configurations need s >= 3, got {s}"):
+            resolution.verify_hb(s, 3)
+
+
 def test_verify_hb_with_given_minors():
     for s, m in [(3, 4), (4, 3)]:
         minors = resolution.maximal_minors(resolution.hb_matrix(s, m))
