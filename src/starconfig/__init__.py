@@ -22,15 +22,11 @@ _EXPORTS = {
         "alpha",
         "colon",
         "equals",
-        "ideal_sum",
-        "intersect",
-        "intersect_many",
         "minimalize",
         "multiply",
         "omega",
         "power",
         "unit_ideal",
-        "variable_ideal",
     ),
     "shapes": (
         "HVector",
@@ -44,7 +40,6 @@ _EXPORTS = {
     ),
     "hilbert": ("bdg_hf_check", "h_vector"),
     "resolution": (
-        "SparsePoly",
         "SymbolicMatrix",
         "euler_check",
         "expected_minor_monomials",

@@ -46,9 +46,8 @@ def _check_exponent(t: Exponent, arity: int) -> None:
 class MonomialIdeal(Record):
     """A monomial ideal: arity plus its canonical minimal generating antichain.
 
-    Construct through :func:`minimalize` (or the convenience constructors
-    below); the raw constructor trusts that ``gens`` is already a deduplicated
-    antichain in graded-lex order.
+    Construct through :func:`minimalize`; the raw constructor trusts that
+    ``gens`` is already a deduplicated antichain in graded-lex order.
     """
 
     arity: int
@@ -76,16 +75,6 @@ class MonomialIdeal(Record):
 
 def unit_ideal(arity: int) -> MonomialIdeal:
     return MonomialIdeal(arity, ((0,) * arity,))
-
-
-def variable_ideal(arity: int, indices: Iterable[int]) -> MonomialIdeal:
-    """The prime ideal generated by the listed variables."""
-    gens = []
-    for i in indices:
-        if not 0 <= i < arity:
-            raise UsageError(f"variable index {i} out of range for arity {arity}")
-        gens.append(tuple(int(j == i) for j in range(arity)))
-    return minimalize(arity, gens)
 
 
 def minimalize(arity: int, tuples: Iterable[Exponent]) -> MonomialIdeal:
@@ -117,12 +106,6 @@ def _check_same_arity(a: MonomialIdeal, b: MonomialIdeal) -> None:
         raise UsageError(f"arity mismatch: {a.arity} vs {b.arity}")
 
 
-def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """The ideal a + b."""
-    _check_same_arity(a, b)
-    return minimalize(a.arity, a.gens + b.gens)
-
-
 def multiply(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """The product ideal, generated by pairwise products of generators."""
     _check_same_arity(a, b)
@@ -142,28 +125,6 @@ def power(ideal: MonomialIdeal, ell: int) -> MonomialIdeal:
     result = ideal
     for _ in range(ell - 1):
         result = multiply(result, ideal)
-    return result
-
-
-def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """The intersection, via componentwise max (lcm) of generator pairs."""
-    _check_same_arity(a, b)
-    lcms = {tuple(max(x, y) for x, y in zip(g, h)) for g in a.gens for h in b.gens}
-    return minimalize(a.arity, lcms)
-
-
-def intersect_many(ideals: Iterable[MonomialIdeal]) -> MonomialIdeal:
-    """Fold intersect pairwise, minimalizing after each fold.
-
-    The empty intersection is undefined here; pass at least one ideal.
-    """
-    it = iter(ideals)
-    try:
-        result = next(it)
-    except StopIteration:
-        raise UsageError("intersect_many needs at least one ideal") from None
-    for ideal in it:
-        result = intersect(result, ideal)
     return result
 
 
@@ -201,14 +162,10 @@ __all__ = [
     "colon",
     "equals",
     "grlex_key",
-    "ideal_sum",
-    "intersect",
-    "intersect_many",
     "minimalize",
     "monomial_str",
     "multiply",
     "omega",
     "power",
     "unit_ideal",
-    "variable_ideal",
 ]

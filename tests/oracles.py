@@ -5,15 +5,17 @@ theorem in `starconfig` replaced: divisibility and membership scans, colon
 ideals and saturation, degree truncation, the built right-hand side of the
 power decomposition, the symbolic power and the W_k chain as intersections
 of prime powers, the Hilbert function from the pivot recursion, the
-per-tuple box predicates that the decomposition walk carries, the cofactor
-expansion that tests each entry for zero, and the 2x2-minor test for
-proportional linear forms.  No command reaches them; the tests compare the
-library against them.
+per-tuple box predicates that the decomposition walk carries, the
+intersection and sum constructors, the sparse polynomials and their
+cofactor expansion that the unique-matching minors replaced, and the
+2x2-minor test for proportional linear forms.  No command reaches them; the
+tests compare the library against them.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -28,12 +30,14 @@ from starconfig.exponents import (
     _check_exponent,
     _check_same_arity,
     colon,
-    intersect_many,
+    grlex_key,
     minimalize,
+    monomial_str,
     unit_ideal,
 )
 from starconfig.hilbert import _numerator
-from starconfig.resolution import SparsePoly, SymbolicMatrix
+from starconfig.record import Record
+from starconfig.resolution import SymbolicMatrix
 from starconfig.star import SimplicialComplex
 
 # --- monomial-ideal arithmetic (from starconfig.exponents) ---
@@ -41,6 +45,44 @@ from starconfig.star import SimplicialComplex
 
 def zero_ideal(arity: int) -> MonomialIdeal:
     return MonomialIdeal(arity, ())
+
+
+def variable_ideal(arity: int, indices: Iterable[int]) -> MonomialIdeal:
+    """The prime ideal generated by the listed variables."""
+    gens = []
+    for i in indices:
+        if not 0 <= i < arity:
+            raise UsageError(f"variable index {i} out of range for arity {arity}")
+        gens.append(tuple(int(j == i) for j in range(arity)))
+    return minimalize(arity, gens)
+
+
+def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
+    """The ideal a + b."""
+    _check_same_arity(a, b)
+    return minimalize(a.arity, a.gens + b.gens)
+
+
+def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
+    """The intersection, via componentwise max (lcm) of generator pairs."""
+    _check_same_arity(a, b)
+    lcms = {tuple(max(x, y) for x, y in zip(g, h)) for g in a.gens for h in b.gens}
+    return minimalize(a.arity, lcms)
+
+
+def intersect_many(ideals: Iterable[MonomialIdeal]) -> MonomialIdeal:
+    """Fold intersect pairwise, minimalizing after each fold.
+
+    The empty intersection is undefined here; pass at least one ideal.
+    """
+    it = iter(ideals)
+    try:
+        result = next(it)
+    except StopIteration:
+        raise UsageError("intersect_many needs at least one ideal") from None
+    for ideal in it:
+        result = intersect(result, ideal)
+    return result
 
 
 def divides(a: Exponent, b: Exponent) -> bool:
@@ -133,7 +175,7 @@ def monomials_of_degree(arity: int, d: int):
 
 def irrelevant_ideal(s: int) -> ex.MonomialIdeal:
     """The ideal generated by all s variables."""
-    return ex.variable_ideal(s, range(s))
+    return variable_ideal(s, range(s))
 
 
 def irrelevant_power(s: int, t: int) -> ex.MonomialIdeal:
@@ -146,7 +188,7 @@ def irrelevant_power(s: int, t: int) -> ex.MonomialIdeal:
 @lru_cache(maxsize=32)
 def _symbolic_intersection(s: int, c: int, ell: int) -> ex.MonomialIdeal:
     """The intersection of the ((j+1)*ell)-th symbolic powers of the codimension-(c+j) skeletons, j = 0..N-c."""
-    return ex.intersect_many(
+    return intersect_many(
         star.symbolic_power(star.StarConfig(s, c + j), (j + 1) * ell) for j in range(s - c)
     )
 
@@ -184,10 +226,10 @@ def symbolic_power_by_intersection(cfg: StarConfig, ell: int) -> ex.MonomialIdea
     check_ell(ell)
     s, c = cfg.s, cfg.c
     terms = (
-        ex.power(ex.variable_ideal(s, subset), ell)
+        ex.power(variable_ideal(s, subset), ell)
         for subset in itertools.combinations(range(s), c)
     )
-    return ex.intersect_many(terms)
+    return intersect_many(terms)
 
 
 def wk_pair_exponents(s: int, ell: int, k: int) -> dict[tuple[int, int], int]:
@@ -197,8 +239,8 @@ def wk_pair_exponents(s: int, ell: int, k: int) -> dict[tuple[int, int], int]:
 
 def wk_ideal_by_intersection(s: int, ell: int, k: int) -> ex.MonomialIdeal:
     """star.wk_ideal as its definition: fold intersect over the pair-prime powers (x_i, x_j)^a."""
-    return ex.intersect_many(
-        ex.power(ex.variable_ideal(s, pair), a) for pair, a in wk_pair_exponents(s, ell, k).items()
+    return intersect_many(
+        ex.power(variable_ideal(s, pair), a) for pair, a in wk_pair_exponents(s, ell, k).items()
     )
 
 
@@ -222,11 +264,104 @@ def hilbert_function(ideal: ex.MonomialIdeal, d: int) -> int:
     return sum(c * comb(d - j + s - 1, s - 1) for j, c in enumerate(k) if j <= d)
 
 
-# --- cofactor expansion (from starconfig.resolution) ---
+# --- sparse polynomials and cofactor expansion (from starconfig.resolution) ---
+
+
+class SparsePoly(Record):
+    """A multivariate polynomial with integer coefficients.
+
+    Terms map exponent tuples to nonzero coefficients, stored sorted in
+    graded-lex order so equality is structural.
+    """
+
+    arity: int
+    terms: tuple[tuple[Exponent, int], ...]
+
+    @staticmethod
+    def from_dict(arity: int, d: dict[Exponent, int]) -> SparsePoly:
+        items = tuple(sorted(((m, c) for m, c in d.items() if c != 0), key=lambda t: grlex_key(t[0])))
+        return SparsePoly(arity, items)
+
+    @staticmethod
+    def zero(arity: int) -> SparsePoly:
+        return SparsePoly(arity, ())
+
+    @staticmethod
+    def monomial(arity: int, exp: Exponent, coeff: int = 1) -> SparsePoly:
+        if len(exp) != arity:
+            raise UsageError(f"exponent {exp} does not match arity {arity}")
+        if coeff == 0:
+            return SparsePoly(arity, ())
+        return SparsePoly(arity, ((tuple(exp), coeff),))
+
+    @staticmethod
+    def variable(arity: int, i: int) -> SparsePoly:
+        e = [0] * arity
+        e[i] = 1
+        return SparsePoly.monomial(arity, tuple(e))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other: SparsePoly) -> SparsePoly:
+        if self.arity != other.arity:
+            raise UsageError(f"arity mismatch: {self.arity} vs {other.arity}")
+        d = dict(self.terms)
+        for m, c in other.terms:
+            d[m] = d.get(m, 0) + c
+        return SparsePoly.from_dict(self.arity, d)
+
+    def __neg__(self) -> SparsePoly:
+        return SparsePoly(self.arity, tuple((m, -c) for m, c in self.terms))
+
+    def __sub__(self, other: SparsePoly) -> SparsePoly:
+        return self + (-other)
+
+    def __mul__(self, other: SparsePoly) -> SparsePoly:
+        if self.arity != other.arity:
+            raise UsageError(f"arity mismatch: {self.arity} vs {other.arity}")
+        d: dict[Exponent, int] = {}
+        for m1, c1 in self.terms:
+            for m2, c2 in other.terms:
+                m = tuple(a + b for a, b in zip(m1, m2))
+                d[m] = d.get(m, 0) + c1 * c2
+        return SparsePoly.from_dict(self.arity, d)
+
+    def as_monomial(self) -> tuple[int, Exponent] | None:
+        """(coefficient, exponent) when the polynomial is a single term, else None."""
+        if len(self.terms) != 1:
+            return None
+        m, c = self.terms[0]
+        return c, m
+
+    def __str__(self) -> str:
+        if self.is_zero:
+            return "0"
+        parts = []
+        for m, c in self.terms:
+            mono = monomial_str(m)
+            if mono == "1":
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append(f"-{mono}")
+            else:
+                parts.append(f"{c}*{mono}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+
+def poly_grid(matrix: SymbolicMatrix, arity: int) -> list[list[SparsePoly]]:
+    """The matrix's entries lifted to SparsePoly: (coefficient, exponent) to a term, None to zero."""
+    return [
+        [SparsePoly.zero(arity) if e is None else SparsePoly.monomial(arity, e[1], e[0]) for e in row]
+        for row in matrix.entries
+    ]
 
 
 def _det_expand(
-    matrix: SymbolicMatrix,
+    grid: list[list[SparsePoly]],
     rows: tuple[int, ...],
     cols: tuple[int, ...],
     memo: dict,
@@ -238,35 +373,39 @@ def _det_expand(
     if key in memo:
         return memo[key]
     if len(rows) == 1:
-        result = matrix.entry(rows[0], cols[0])
+        result = grid[rows[0]][cols[0]]
         memo[key] = result
         return result
 
     # pick the line (row or column) with the fewest nonzero entries, the first such row on a tie
-    lines = [(sum(not matrix.entry(r, c).is_zero for c in cols), True, a) for a, r in enumerate(rows)]
-    lines += [(sum(not matrix.entry(r, c).is_zero for r in rows), False, b) for b, c in enumerate(cols)]
+    lines = [(sum(not grid[r][c].is_zero for c in cols), True, a) for a, r in enumerate(rows)]
+    lines += [(sum(not grid[r][c].is_zero for r in rows), False, b) for b, c in enumerate(cols)]
     _, is_row, a = min(lines, key=lambda line: line[0])
     result = SparsePoly.zero(arity)
     for b in range(len(cols) if is_row else len(rows)):  # an all-zero line leaves the result zero
         i, j = (a, b) if is_row else (b, a)
-        entry = matrix.entry(rows[i], cols[j])
+        entry = grid[rows[i]][cols[j]]
         if entry.is_zero:
             continue
-        minor = _det_expand(matrix, rows[:i] + rows[i + 1 :], cols[:j] + cols[j + 1 :], memo, arity)
+        minor = _det_expand(grid, rows[:i] + rows[i + 1 :], cols[:j] + cols[j + 1 :], memo, arity)
         term = entry * minor
         result = result + term if (i + j) % 2 == 0 else result - term
     memo[key] = result
     return result
 
 
-def maximal_minors_by_expansion(matrix: SymbolicMatrix) -> list[SparsePoly]:
-    """resolution.maximal_minors as it was: _det_expand on each row-deleted square, one shared memo."""
-    arity = matrix.entries[0][0].arity
+def maximal_minors_by_expansion(matrix: SymbolicMatrix, arity: int) -> list[SparsePoly]:
+    """resolution.maximal_minors by cofactor expansion: _det_expand on each row-deleted square, one shared memo.
+
+    Each entry is lifted to a SparsePoly in `arity` variables, so an entry's
+    first component may be any integer coefficient, and a minor any polynomial.
+    """
+    grid = poly_grid(matrix, arity)
     memo: dict = {}
     cols = tuple(range(matrix.cols))
     all_rows = tuple(range(matrix.rows))
     return [
-        _det_expand(matrix, all_rows[:k] + all_rows[k + 1 :], cols, memo, arity)
+        _det_expand(grid, all_rows[:k] + all_rows[k + 1 :], cols, memo, arity)
         for k in range(matrix.rows)
     ]
 

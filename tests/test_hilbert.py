@@ -179,8 +179,8 @@ def test_bdg_hf_check_skeleton_recursion():
         for c in range(2, s - 1):
             i_c = extend(skeleton_ideal(StarConfig(s - 1, c)), s)
             i_s = extend(skeleton_ideal(StarConfig(s - 1, c - 1)), s)
-            xs = ex.variable_ideal(s, [s - 1])
-            result = ex.ideal_sum(ex.multiply(xs, i_c), i_s)
+            xs = oracles.variable_ideal(s, [s - 1])
+            result = oracles.ideal_sum(ex.multiply(xs, i_c), i_s)
             assert ex.equals(result, skeleton_ideal(StarConfig(s, c)))
             assert hilbert.bdg_hf_check(i_s, i_c, 1, result)
 

@@ -14,9 +14,6 @@ from starconfig.record import Record
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-_EMPTY = sc.SparsePoly(1, ())
-_X0 = sc.SparsePoly(1, (((1,), 1),))
-
 # (class, fields, other fields, fields that fail validation or None, repr)
 RECORDS = [
     (sc.MonomialIdeal, (2, ((1, 0), (0, 1))), (2, ((1, 0),)), (0, ()),
@@ -25,9 +22,8 @@ RECORDS = [
     (sc.SimplicialComplex, (3, ((0, 1), (1, 2))), (3, ((0, 1),)), (3, ((0, 3),)),
      "SimplicialComplex(vertex_count=3, facets=((0, 1), (1, 2)))"),
     (sc.HVector, ((1, 2),), ((1, 3),), None, "HVector(entries=(1, 2))"),
-    (sc.SparsePoly, (1, (((1,), 1),)), (1, ()), None, "SparsePoly(arity=1, terms=(((1,), 1),))"),
-    (sc.SymbolicMatrix, (1, 1, ((_EMPTY,),)), (1, 1, ((_X0,),)), (2, 1, ((_EMPTY,),)),
-     "SymbolicMatrix(rows=1, cols=1, entries=((SparsePoly(arity=1, terms=()),),))"),
+    (sc.SymbolicMatrix, (1, 1, ((None,),)), (1, 1, (((1, (1,)),),)), (2, 1, ((None,),)),
+     "SymbolicMatrix(rows=1, cols=1, entries=((None,),))"),
     (sc.ResolutionShape, ((((-2, 3),),),), ((((-2, 4),),),), None,
      "ResolutionShape(modules=(((-2, 3),),))"),
     (sc.ContainmentReport, (((1, 1, True),), None, (3, 2), ()),

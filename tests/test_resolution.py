@@ -7,10 +7,12 @@ from math import comb
 import pytest
 
 import oracles
+import test_package
+from oracles import SparsePoly
 from starconfig import exponents as ex
 from starconfig import hilbert, resolution, shapes
 from starconfig.errors import ResourceCapError, TheoremViolation, UsageError
-from starconfig.resolution import SparsePoly, SymbolicMatrix
+from starconfig.resolution import SymbolicMatrix
 from starconfig.star import StarConfig, skeleton_ideal, symbolic_power
 
 
@@ -21,10 +23,9 @@ def poly(arity, *terms):
     return SparsePoly.from_dict(arity, d)
 
 
-def leibniz_det(matrix):
-    """Permutation-sum determinant; the independent oracle for small sizes."""
-    n = matrix.rows
-    arity = matrix.entries[0][0].arity
+def leibniz_det(grid, arity):
+    """Permutation-sum determinant of a square grid of SparsePoly; the independent oracle for small sizes."""
+    n = len(grid)
     total = SparsePoly.zero(arity)
     for perm in itertools.permutations(range(n)):
         sign = 1
@@ -34,7 +35,7 @@ def leibniz_det(matrix):
                     sign = -sign
         term = SparsePoly.monomial(arity, (0,) * arity, sign)
         for i in range(n):
-            term = term * matrix.entry(i, perm[i])
+            term = term * grid[i][perm[i]]
         total = total + term
     return total
 
@@ -57,6 +58,12 @@ def test_sparse_poly_str():
     assert str(-(x0 * x1)) == "-x0*x1"
     assert str(SparsePoly.monomial(2, (0, 0), 3)) == "3"
     assert str(x0 * x0 - x0 * x1) == "x0^2 - x0*x1"  # graded-lex term order
+
+
+def test_sparse_poly_record_semantics():
+    test_package.test_record_semantics(
+        SparsePoly, (1, (((1,), 1),)), (1, ()), None, "SparsePoly(arity=1, terms=(((1,), 1),))"
+    )
 
 
 def test_en_rank():
@@ -125,34 +132,35 @@ def test_euler_check():
 def test_hb_matrix_shapes():
     m42 = resolution.hb_matrix(4, 2)
     assert (m42.rows, m42.cols) == (5, 4)
-    assert all(m42.entry(0, j).as_monomial()[0] == -1 for j in range(4))
-    assert all(sum(m42.entry(0, j).as_monomial()[1]) == 3 for j in range(4))
+    assert all(m42.entry(0, j)[0] == -1 for j in range(4))
+    assert all(sum(m42.entry(0, j)[1]) == 3 for j in range(4))
     m43 = resolution.hb_matrix(4, 3)
     assert (m43.rows, m43.cols) == (8, 7)
     # D block is bidiagonal: -x_j on the diagonal, x_{j+1} below
     for j in range(3):
-        assert m43.entry(j, j).as_monomial()[0] == -1
-        assert m43.entry(j + 1, j).as_monomial()[0] == 1
+        assert m43.entry(j, j)[0] == -1
+        assert m43.entry(j + 1, j)[0] == 1
     # every entry is zero or a signed monomial
     for mat in (m42, m43, resolution.hb_matrix(5, 4)):
         for row in mat.entries:
             for entry in row:
-                assert entry.is_zero or abs(entry.as_monomial()[0]) == 1
+                assert entry is None or abs(entry[0]) == 1
     with pytest.raises(UsageError):
         resolution.hb_matrix(4, 1)
 
 
 def test_determinant_basics():
-    # maximal_minors(m)[k] is the determinant of m without row k
+    # maximal_minors_by_expansion(m, arity)[k] is the determinant of m without row k
     x = [SparsePoly.variable(3, i) for i in range(3)]
     zero = SparsePoly.zero(3)
-    diag = SymbolicMatrix(3, 2, ((x[0], zero), (zero, x[1]), (zero, zero)))
-    assert resolution.maximal_minors(diag) == [zero, zero, x[0] * x[1]]
-    upper = SymbolicMatrix(3, 2, ((x[0], -x[0]), (zero, x[1]), (x[2], x[2])))
+    e = [(1, tuple(int(j == i) for j in range(3))) for i in range(3)]
+    diag = SymbolicMatrix(3, 2, ((e[0], None), (None, e[1]), (None, None)))
+    assert oracles.maximal_minors_by_expansion(diag, 3) == [zero, zero, x[0] * x[1]]
+    upper = SymbolicMatrix(3, 2, ((e[0], (-1, e[0][1])), (None, e[1]), (e[2], e[2])))
     two = SparsePoly.monomial(3, (0, 0, 0), 2)
-    assert resolution.maximal_minors(upper) == [-(x[1] * x[2]), two * x[0] * x[2], x[0] * x[1]]
+    assert oracles.maximal_minors_by_expansion(upper, 3) == [-(x[1] * x[2]), two * x[0] * x[2], x[0] * x[1]]
     with pytest.raises(UsageError):
-        resolution.maximal_minors(SymbolicMatrix(1, 2, ((x[0], x[1]),)))
+        resolution.maximal_minors(SymbolicMatrix(1, 2, ((e[0], e[1]),)))
 
 
 def test_determinant_matches_leibniz_on_random_sparse():
@@ -166,39 +174,40 @@ def test_determinant_matches_leibniz_on_random_sparse():
             row = []
             for _ in range(n):
                 if rng.random() < 0.4:
-                    row.append(SparsePoly.zero(arity))
+                    row.append(None)
                 else:
                     exp = tuple(rng.randint(0, 2) for _ in range(arity))
-                    row.append(SparsePoly.monomial(arity, exp, rng.choice([-2, -1, 1, 2])))
+                    row.append((rng.choice([-2, -1, 1, 2]), exp))
             rows.append(tuple(row))
-        minors = resolution.maximal_minors(SymbolicMatrix(n + 1, n, tuple(rows)))
+        matrix = SymbolicMatrix(n + 1, n, tuple(rows))
+        minors = oracles.maximal_minors_by_expansion(matrix, arity)
+        grid = oracles.poly_grid(matrix, arity)
         for k, minor in enumerate(minors):
-            square = SymbolicMatrix(n, n, tuple(rows[:k] + rows[k + 1 :]))
-            assert minor == leibniz_det(square), f"trial {trial}, row {k}"
+            assert minor == leibniz_det(grid[:k] + grid[k + 1 :], arity), f"trial {trial}, row {k}"
 
 
 def test_maximal_minors_match_the_expansion_oracle():
-    # every hb_matrix of at most 12 columns: the bitmask pivot choice gives the pre-bitmask minors, byte for byte
+    # every hb_matrix under the cap: the signed monomial read off the matching is the expanded minor, byte for byte
     checked = 0
-    for s in range(2, 13):
+    for s in range(2, resolution.DET_DIMENSION_CAP + 1):  # m = 2 has s columns
         for m in itertools.count(2):  # the column count grows with m
             try:
                 matrix = resolution.hb_matrix(s, m)
-            except ResourceCapError:  # past 16 columns
+            except ResourceCapError:
                 break
-            if matrix.cols > 12:
-                break
-            minors, expected = resolution.maximal_minors(matrix), oracles.maximal_minors_by_expansion(matrix)
-            assert minors == expected and [str(p) for p in minors] == [str(p) for p in expected], (s, m)
+            minors, expected = resolution.maximal_minors(matrix), oracles.maximal_minors_by_expansion(matrix, s)
+            assert [SparsePoly.monomial(s, exp, sign) for sign, exp in minors] == expected, (s, m)
+            # as the hb command renders them
+            rendered = [("-" if sign < 0 else "") + ex.monomial_str(exp) for sign, exp in minors]
+            assert rendered == [str(p) for p in expected], (s, m)
             checked += 1
-    assert checked == 35
+    assert checked == 53
 
 
 def test_determinant_cap():
-    zero = SparsePoly.zero(1)
-    big = SymbolicMatrix(18, 17, tuple(tuple(zero for _ in range(17)) for _ in range(18)))
-    with pytest.raises(ResourceCapError):
-        resolution.maximal_minors(big)
+    # the cap is hb_matrix's: it refuses a minor dimension past 16 before building anything
+    with pytest.raises(ResourceCapError, match="minor dimension 20 exceeds the cap 16"):
+        resolution.hb_matrix(5, 8)
 
 
 def test_maximal_minors_counts_and_families():
@@ -207,10 +216,9 @@ def test_maximal_minors_counts_and_families():
         minors = resolution.maximal_minors(matrix)
         assert len(minors) == matrix.rows
         observed = set()
-        for minor in minors:
-            mono = minor.as_monomial()
-            assert mono is not None and abs(mono[0]) == 1
-            observed.add(mono[1])
+        for sign, exp in minors:
+            assert abs(sign) == 1
+            observed.add(exp)
         assert observed == resolution.expected_minor_monomials(s, m)
 
 
@@ -242,13 +250,22 @@ def test_verify_hb_with_given_minors():
         assert resolution.verify_hb(s, m, minors)
         # minors of another matrix generate another ideal
         assert not resolution.verify_hb(s, m, resolution.maximal_minors(resolution.hb_matrix(s, m + 1)))
-    two_terms = SparsePoly.variable(3, 0) + SparsePoly.variable(3, 1)
-    with pytest.raises(TheoremViolation):
-        resolution.verify_hb(3, 2, [two_terms])
+    # minors that are not read off a unique perfect matching: the peel stops and names what it left
+    x0, x1 = (1, (1, 0, 0)), (-1, (0, 1, 0))
+    cases = [
+        # deleting row 0 leaves a full 2x2 block, two matchings (x0^2 - x1^2): every line keeps two entries
+        (((None, None), (x0, x1), (x1, x0)), r"rows \[1, 2\] and columns \[0, 1\]$"),
+        # deleting row 0 leaves row 1 empty, no matching: row 2 takes column 0, and column 1 is left
+        (((x0, x1), (None, None), (x0, None)), r"rows \[1\] and columns \[1\]$"),
+    ]
+    for grid, witness in cases:
+        with pytest.raises(TheoremViolation, match="maximal minor 0 of the 3x2 matrix has no unique perfect matching: "
+                           "the peel left " + witness):
+            resolution.verify_hb(3, 2, resolution.maximal_minors(SymbolicMatrix(3, 2, grid)))
 
 
 def test_maximal_minors_shape_check():
-    x = SparsePoly.variable(2, 0)
+    x = (1, (1, 0))
     square = SymbolicMatrix(2, 2, ((x, x), (x, x)))
     with pytest.raises(UsageError):
         resolution.maximal_minors(square)

@@ -114,7 +114,7 @@ def test_face_set_edge_cases():
         assert star.stanley_reisner_ideal(void) == scan_stanley_reisner_ideal(void)
         empty_face = oracles.make_complex(v, [()])  # only the empty face: every vertex is a non-face
         assert star.is_matroid(empty_face)
-        assert star.stanley_reisner_ideal(empty_face) == ex.variable_ideal(v, range(v))
+        assert star.stanley_reisner_ideal(empty_face) == oracles.variable_ideal(v, range(v))
         simplex = oracles.make_complex(v, [tuple(range(v))])
         assert star.is_matroid(simplex)
         assert star.stanley_reisner_ideal(simplex).is_zero
