@@ -6,9 +6,9 @@ from ..errors import UsageError
 
 def run(args) -> tuple[dict, int]:
     s, ell = args.s, args.ell
-    star.check_wk(s, ell)  # before anything is listed, so a huge s is refused
-    if args.k is not None and not 0 <= args.k < s:
+    if args.k is not None and not 0 <= args.k < s:  # a usage error, before check_wk's cap
         raise UsageError(f"need 0 <= k < s, got k={args.k}")
+    star.check_wk(s, ell)  # before anything is listed, so a huge s is refused
     ks = range(s) if args.k is None else range(args.k, args.k + 1)
     chain = {j: star.wk_ideal(s, ell, j) for j in range(ks.start, ks.stop + 1)}  # each W_j once
     steps = []

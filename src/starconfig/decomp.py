@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import config
-from .errors import ResourceCapError, TheoremViolation, UsageError, over_cap
+from .errors import ResourceCapError, TheoremViolation, UsageError, check_cap
 from .record import Record
 
 # Ordinary powers blow up with the number of variables; these are the
@@ -44,8 +44,7 @@ def _check_decomp(check: str, s: int, c: int, ell: int, s_cap: int, l_cap: int) 
         raise ResourceCapError(f"{check} check capped at s <= {s_cap}, ell <= {l_cap}; got s={s}, ell={ell}")
     cap = config.DEFAULT_ENUM_CAP
     tuples = config.comb_past((s - c + 1) * ell + s, s, cap)  # what _decomp_verdicts scans, when the caps are raised
-    if tuples > cap:
-        raise ResourceCapError(f"{check} check scans {over_cap(tuples, cap)} exponent tuples, cap is {cap}")
+    check_cap(tuples, cap, f"{check} check scans {{}} exponent tuples")
 
 
 def _box_walk(s: int, c: int, ell: int):
@@ -213,8 +212,7 @@ def resurgence_scan(
     config.StarConfig(s, c)  # validate ranges before the cell cap
     if m_max < 1 or r_max < 1:
         raise UsageError(f"need m_max, r_max >= 1, got {m_max}, {r_max}")
-    if m_max * r_max > SCAN_CELL_CAP:
-        raise ResourceCapError(f"the scan has {over_cap(m_max * r_max, SCAN_CELL_CAP)} cells, cap is {SCAN_CELL_CAP}")
+    check_cap(m_max * r_max, SCAN_CELL_CAP, "the scan has {} cells")
     n_dim = s - 1
     entries = []
     mismatches = []

@@ -21,6 +21,12 @@ def over_cap(count: int, cap: int) -> str:
     return str(count) if count < 1 << 64 else f"more than {cap}"
 
 
+def check_cap(count: int, cap: int, what: str) -> None:
+    """Refuse a count past its cap: `what` with the count, worded by over_cap, in its `{}`, then `, cap is <cap>`."""
+    if count > cap:
+        raise ResourceCapError(f"{what.format(over_cap(count, cap))}, cap is {cap}")
+
+
 class TheoremViolation(AssertionError):
     """A verified identity failed; the message carries a concrete witness."""
 

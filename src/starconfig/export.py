@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb
 
 from . import config
-from .errors import ResourceCapError, UsageError, over_cap
+from .errors import UsageError, check_cap
 
 
 def coordinate_forms(s: int) -> list[tuple[int, ...]]:
@@ -123,11 +123,7 @@ def export_cas(
         if entries > config.DEFAULT_ENUM_CAP:
             break
         entries += comb(s, k) * k
-    if entries > config.DEFAULT_ENUM_CAP:
-        raise ResourceCapError(
-            f"the script holds at least {over_cap(entries, config.DEFAULT_ENUM_CAP)} form coefficients "
-            f"and subset entries, cap is {config.DEFAULT_ENUM_CAP}"
-        )
+    check_cap(entries, config.DEFAULT_ENUM_CAP, "the script holds at least {} form coefficients and subset entries")
     forms = coordinate_forms(s) if forms is None else forms
     m_exp = (s - c + 1) * ell
     m2 = target == "m2-syntax"

@@ -57,10 +57,10 @@ def hb_matrix(s: int, m: int) -> SymbolicMatrix:
     built for its maximal minors, so a minor dimension (cols) past
     DET_DIMENSION_CAP is refused before anything is allocated.
     """
-    if s < 2:
-        raise UsageError(f"need at least 2 variables, got s={s}")
     if m < 2:
         raise UsageError(f"the matrix is defined for m >= 2, got m={m}")
+    if s < 2:
+        raise UsageError(f"need at least 2 variables, got s={s}")
     r = m // 2
     top, left = (1, 0) if m % 2 == 0 else (s, s - 1)  # the header's rows and columns
     rows, cols = top + s * r, left + s * r

@@ -18,7 +18,7 @@ from math import comb
 from operator import sub
 
 from . import config
-from .errors import ResourceCapError, UsageError, over_cap
+from .errors import UsageError, check_cap
 from .record import Record
 
 
@@ -103,14 +103,10 @@ def symbolic_h_vector(cfg: config.StarConfig, ell: int, d_cap: int | None = None
     config.check_ell(ell)
     s, c = cfg.s, cfg.c
     width = s - c + 1
-    if d_cap is not None and ell * width - 1 > d_cap:
-        raise ResourceCapError(f"h-vector has degree {over_cap(ell * width - 1, d_cap)}, cap is {d_cap}")
+    if d_cap is not None:
+        check_cap(ell * width - 1, d_cap, "h-vector has degree {}")
     work = _symbolic_work(s, c, ell)
-    if work > config.DEFAULT_ENUM_CAP:
-        raise ResourceCapError(
-            f"closed-form Hilbert numerator needs about {over_cap(work, config.DEFAULT_ENUM_CAP)} word operations, "
-            f"cap is {config.DEFAULT_ENUM_CAP}"
-        )
+    check_cap(work, config.DEFAULT_ENUM_CAP, "closed-form Hilbert numerator needs about {} word operations")
     rows = {p: [comb(c - p - 1 + j, j) for j in range(width)] for p in range(c) if p == 0 or p > c - ell}
     n = [0] * (ell * width)
     for v in range(ell):
@@ -140,8 +136,7 @@ def symbolic_numerator(cfg: config.StarConfig, ell: int) -> tuple[int, ...]:
 
 def generic_hvector(s: int, c: int) -> HVector:
     """The generic h-vector of the codimension-c skeleton: binom(t+c-1, c-1) for t = 0..s-c."""
-    if not 1 <= c <= s - 1:
-        raise UsageError(f"need 1 <= c <= s-1, got c={c}, s={s}")
+    config.StarConfig(s, c)
     return HVector(tuple(comb(t + c - 1, c - 1) for t in range(s - c + 1)))
 
 
@@ -151,8 +146,7 @@ def ss_hvector_formula(s: int, c: int) -> HVector:
     Entries grow generically through degree s-c, then plateau at binom(s, c-1)
     through degree 2s-2c+1, then vanish.
     """
-    if not 1 <= c <= s - 1:
-        raise UsageError(f"need 1 <= c <= s-1, got c={c}, s={s}")
+    config.StarConfig(s, c)
     entries = [comb(t + c - 1, c - 1) for t in range(s - c + 1)]
     entries += [comb(s, c - 1)] * ((2 * s - 2 * c + 1) - (s - c + 1) + 1)
     return HVector(tuple(entries))

@@ -22,7 +22,7 @@ from . import exponents as ex
 from .config import (
     DEFAULT_ENUM_CAP, StarConfig, alpha_symbolic_formula, check_codim2, check_ell, comb_past, omega_symbolic_formula
 )
-from .errors import ResourceCapError, UsageError, over_cap
+from .errors import ResourceCapError, UsageError, check_cap, over_cap
 from .record import Record
 
 # is_matroid and Stanley-Reisner extraction list every face as a vertex bitmask.
@@ -55,10 +55,7 @@ def symbolic_member(mu: ex.Exponent, cfg: StarConfig, ell: int) -> bool:
     least ell (equivalently, mu vanishes to order >= ell on every component).
     """
     check_ell(ell)
-    if len(mu) != cfg.s:
-        raise UsageError(f"arity mismatch: monomial has {len(mu)} entries, config has s={cfg.s}")
-    if any(e < 0 for e in mu):
-        raise UsageError(f"exponent tuple {mu} has a negative entry")
+    ex._check_exponent(mu, cfg.s)
     return sum(sorted(mu)[: cfg.c]) >= ell
 
 
@@ -73,10 +70,7 @@ def symbolic_shapes(cfg: StarConfig, ell: int, enum_cap: int = DEFAULT_ENUM_CAP)
     check_ell(ell)
     s, c = cfg.s, cfg.c
     entries = s * comb_past(ell + c - 1, c - 1, enum_cap)  # C(..) bounds the c-tuples summing to ell
-    if entries > enum_cap:
-        raise ResourceCapError(
-            f"symbolic power shapes need up to {over_cap(entries, enum_cap)} entries, cap is {enum_cap}"
-        )
+    check_cap(entries, enum_cap, "symbolic power shapes need up to {} entries")
     return tuple((0,) * (c - len(p)) + p + (p[-1],) * (s - c) for p in _partitions(ell, c, 1))
 
 
@@ -97,10 +91,7 @@ def symbolic_power(cfg: StarConfig, ell: int, enum_cap: int = DEFAULT_ENUM_CAP) 
     """
     shapes = symbolic_shapes(cfg, ell, enum_cap)
     entries = cfg.s * sum(_arrangement_count(t) for t in shapes)
-    if entries > enum_cap:
-        raise ResourceCapError(
-            f"symbolic power generators need {over_cap(entries, enum_cap)} entries, cap is {enum_cap}"
-        )
+    check_cap(entries, enum_cap, "symbolic power generators need {} entries")
     gens = [g for t in shapes for g in _distinct_permutations(t)]
     return ex.MonomialIdeal(cfg.s, tuple(sorted(gens, key=ex.grlex_key)))
 

@@ -96,10 +96,11 @@ def test_hb_refuses_s_below_3_before_any_matrix(capsys, monkeypatch):
         code, out, err = run(capsys, ["hb", "--s", str(s), "--m", str(m)])
         assert (code, out, err) == (2, "", f"error (usage): codimension-2 configurations need s >= 3, got {s}\n")
     assert calls == [[], []]
-    # m is checked first, by hb_matrix before it builds anything, so hb --s 2 --m 1 keeps its line
-    code, out, err = run(capsys, ["hb", "--s", "2", "--m", "1"])
-    assert (code, out, err) == (2, "", "error (usage): the matrix is defined for m >= 2, got m=1\n")
-    assert calls == [[(2, 1)], []]
+    # m is checked first, by hb_matrix before it builds anything, so an m below 2 keeps its line for every s
+    for s, m in [(2, 1), (1, 1)]:
+        code, out, err = run(capsys, ["hb", "--s", str(s), "--m", str(m)])
+        assert (code, out, err) == (2, "", "error (usage): the matrix is defined for m >= 2, got m=1\n")
+    assert calls == [[(2, 1), (1, 1)], []]
 
 
 def test_betti_refuses_c_1_before_the_closed_form(capsys, monkeypatch):
@@ -196,7 +197,18 @@ def test_wk_builds_each_ideal_once(capsys, monkeypatch, k):
     assert sorted(call[2] for call in calls) == (list(range(6)) if k is None else [k, k + 1])
 
 
-@pytest.mark.parametrize("argv", [["--s", "0"], ["--s", "-3"], ["--s", "5", "--k", "5"], ["--s", "5", "--k", "-1"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--s", "0"],
+        ["--s", "-3"],
+        ["--s", "5", "--k", "5"],
+        ["--s", "5", "--k", "-1"],
+        # k is checked before the (ell+3)^s cap, which both of these s pass
+        ["--s", "30", "--k", "30"],
+        ["--s", "50", "--k", "-1"],
+    ],
+)
 def test_wk_bad_parameters_are_usage_errors(capsys, argv):
     code, out, _ = run(capsys, ["wk", "--ell", "1"] + argv)
     assert code == 2 and out == ""
@@ -276,6 +288,27 @@ def test_huge_hvector_is_refused_fast(capsys, argv):
     assert code == 3 and out == ""
     assert err.startswith("error (resource-cap): ") and err.count("\n") == 1
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        # one argv per count-cap refusal, each worded through errors.check_cap
+        ("symbolic --s 3000000 --c 1500000 --ell 3000000",
+         "symbolic power shapes need up to more than 5000000 entries, cap is 5000000"),
+        ("symbolic --s 40 --c 20 --ell 2", "symbolic power generators need 9786506808000 entries, cap is 5000000"),
+        ("hvector --s 4 --c 2 --ell 3 --degree-cap 1", "h-vector has degree 8, cap is 1"),
+        ("hvector --s 400 --c 200 --ell 400",
+         "closed-form Hilbert numerator needs about 48161000 word operations, cap is 5000000"),
+        ("decomp --s 100000 --c 2 --ell 1 --s-cap 100000",
+         "decomposition check scans more than 5000000 exponent tuples, cap is 5000000"),
+        ("scan --s 4 --c 2 --mmax 1000 --rmax 300 --power-cap 300", "the scan has 300000 cells, cap is 100000"),
+        ("export --s 30 --c 15 --ell 1 --target m2-syntax",
+         "the script holds at least 18649350 form coefficients and subset entries, cap is 5000000"),
+    ],
+)
+def test_count_cap_refusals_are_worded_alike(capsys, argv, line):
+    assert run(capsys, argv.split()) == (3, "", f"error (resource-cap): {line}\n")
 
 
 @pytest.mark.parametrize("command", ["skeleton", "hvector"])
@@ -747,6 +780,22 @@ def test_export_refuses_a_coefficient_past_the_digit_limit(capsys, coeff):
 
 def test_export_parses_short_exponents_and_fractions():
     assert export.parse_forms("1e2,1/2;0,1") == [(Fraction(100), Fraction(1, 2)), (Fraction(0), Fraction(1))]
+
+
+@pytest.mark.parametrize(
+    "flags, forms, line",
+    [
+        (["--s", "2", "--c", "1"], "1,0;;0,1", "empty linear form in --forms"),
+        (["--s", "2", "--c", "1"], "1,0;0,1,0", "linear forms have inconsistent lengths [2, 3]"),
+        (["--s", "2", "--c", "1"], "0,0;0,0", "all forms are zero"),
+        (["--s", "3", "--c", "1"], "1;2;3", "forms must have at least 2 coefficients"),
+        (["--s", "3", "--c", "1"], "1,0,0,0;0,1,0,0;0,0,1,0", "the configuration needs s > n, got s=3, n=3"),
+        (["--s", "3", "--c", "2"], "1,0;0,1;1,1", "codimension c=2 exceeds the ambient dimension n=1"),
+    ],
+)
+def test_export_refuses_malformed_forms(capsys, flags, forms, line):
+    argv = ["export", *flags, "--ell", "1", "--target", "m2-syntax", "--forms", forms]
+    assert run(capsys, argv) == (2, "", f"error (usage): {line}\n")
 
 
 def test_export_form_count_mismatch(capsys):
