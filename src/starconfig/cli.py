@@ -13,10 +13,6 @@ An error line that cannot be written (a closed or broken stderr) is dropped,
 and the refusal keeps its exit code.  main returns the code; entry, the
 process entry point, ends the process.
 
-Environment variables override default caps: STARCONFIG_ENUM_CAP (symbolic
-power enumeration), STARCONFIG_DEGREE_CAP (h-vector degree, no default),
-STARCONFIG_POWER_CAP (ordinary-power exponent cap in containment commands).
-
 parse reads the command line straight from the COMMANDS table: the command
 word first, then `--flag value` or `--flag=value`, a flag abbreviated to any
 unambiguous prefix, the last of repeated flags winning.  Help is generated
@@ -46,25 +42,11 @@ def _int(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """A cap value: a positive integer, else a usage error (exit 2).
-
-    The type of every cap flag, and the parser of the cap environment
-    variables.
-    """
+    """A positive integer, else a usage error (exit 2): the type of every cap flag and of --jobs."""
     value = _int(text)
     if value < 1:
         raise UsageError(f"must be positive, got {value}")
     return value
-
-
-def _env_cap(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return _positive_int(raw)
-    except UsageError as exc:
-        raise UsageError(f"{name} {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -122,26 +104,22 @@ def render(report: dict, fmt: str) -> str:
 # argument parsing and dispatch
 
 
-_DEGREE_CAP = ("--degree-cap", "STARCONFIG_DEGREE_CAP")
-_POWER_CAP = ("--power-cap", "STARCONFIG_POWER_CAP")
+# every cap flag; no default: None means the command's own default cap, or none
+_CAP = {"type": _positive_int, "help": "positive cap"}
 
 # command -> (help, the required integer flags after --s, further flags), in --help order.  A
-# further flag is (name, keywords: type, default, choices, required, help), or (name, variable)
-# for a positive-int cap whose default the environment variable gives.
+# further flag is (name, keywords: type, default, choices, required, help).
 # starconfig.commands.<command>.run builds the report.
 COMMANDS = {
-    "skeleton": ("skeleton ideal: generators, h-vector, degree, alpha", ("c",), (_DEGREE_CAP,)),
-    "symbolic": ("symbolic power: generators, alpha/omega vs closed forms", ("c", "ell"), (
-        ("--enum-cap", "STARCONFIG_ENUM_CAP"),)),
+    "skeleton": ("skeleton ideal: generators, h-vector, degree, alpha", ("c",), (("--degree-cap", _CAP),)),
+    "symbolic": ("symbolic power: generators, alpha/omega vs closed forms", ("c", "ell"), (("--enum-cap", _CAP),)),
     "hvector": ("h-vector of the skeleton (--ell 1) or a symbolic power", ("c",), (
-        ("--ell", {"type": int, "default": 1}), _DEGREE_CAP)),
+        ("--ell", {"type": int, "default": 1}), ("--degree-cap", _CAP))),
     "betti": ("resolution shape of the symbolic square plus the Euler check", ("c",), ()),
     "hb": ("determinantal matrix, its maximal minors, and the minor-ideal check", ("m",), ()),
-    # no default: None means decomp's default caps, read when the command runs, not at parsing
-    "decomp": ("power decomposition and saturation identity", ("c", "ell"), (
-        ("--s-cap", {"type": _positive_int}), ("--l-cap", {"type": _positive_int}))),
-    "containment": ("single symbolic-vs-ordinary power containment", ("c", "m", "r"), (_POWER_CAP,)),
-    "scan": ("containment grid with the empirical resurgence supremum", ("c", "mmax", "rmax"), (_POWER_CAP,)),
+    "decomp": ("power decomposition and saturation identity", ("c", "ell"), (("--s-cap", _CAP), ("--l-cap", _CAP))),
+    "containment": ("single symbolic-vs-ordinary power containment", ("c", "m", "r"), (("--power-cap", _CAP),)),
+    "scan": ("containment grid with the empirical resurgence supremum", ("c", "mmax", "rmax"), (("--power-cap", _CAP),)),
     "matroid": ("matroid property of the skeleton complex and the Stanley-Reisner check", ("c",), ()),
     "wk": ("basic-double-link chain checks between symbolic powers (codimension 2)", ("ell",), (
         ("--k", {"type": int, "default": None, "help": "single step; default checks every step"}),)),
@@ -156,40 +134,35 @@ COMMANDS = {
 _COMMON = (
     ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
     ("--output", {"help": "write the report to this path instead of stdout"}),
-    ("--jobs", {"type": int, "default": 1, "help": "parallelism hint; does not affect output"}),
+    ("--jobs", {"type": _positive_int, "default": 1, "help": "parallelism hint; does not affect output"}),
 )
 
 
 def _flags(command: str) -> dict[str, dict]:
-    """The command's flags and their keywords, in --help order; a cap's default is read from the environment."""
+    """The command's flags and their keywords, in --help order."""
     _, required, options = COMMANDS[command]
     flags = {"--s": {"type": int, "required": True, "help": "number of hyperplanes/variables"}}
     flags.update((f"--{name}", {"type": int, "required": True}) for name in required)
-    for flag, kwargs in options + _COMMON:
-        if isinstance(kwargs, str):  # a cap flag and its environment variable
-            kwargs = {"type": _positive_int, "default": _env_cap(kwargs), "help": f"positive cap; ${kwargs} sets the default"}
-        flags[flag] = kwargs
+    flags.update(options + _COMMON)
     return flags
 
 
 def parse(argv: list[str], args: SimpleNamespace) -> str | None:
     """Set args from the command line by the COMMANDS table; the help text if -h or --help (or --he) is given.
 
-    The cap variables are read first: the command's own, or every one when
-    no command is named.  A token after a flag is its value unless it starts
-    with --, so -1 is a value.  Every problem goes into one UsageError,
-    raised after args.format is set, so that it is printed in that format.
+    Only the named command's flags are built, after the help check.  A token
+    after a flag is its value unless it starts with --, so -1 is a value.
+    Every problem goes into one UsageError, raised after args.format is set,
+    so that it is printed in that format.
     """
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    for name in [command] if command else COMMANDS:  # with no command, every cap variable is read
-        flags = _flags(name)
     if any(token == "-h" or len(token) > 2 and "--help".startswith(token) for token in argv):
         from .usage import usage
 
         return usage(command, COMMANDS, _flags)
     if command is None:
         raise UsageError(f"the first argument names a command, one of {', '.join(COMMANDS)}")
-    given, problems = {}, []
+    flags, given, problems = _flags(command), {}, []
     tokens, i = argv[1:], 0
     while i < len(tokens):
         name, has_value, value = tokens[i].partition("=")
@@ -231,8 +204,6 @@ def main(argv: list[str] | None = None) -> int:
         if help_text is not None:
             _write(help_text, None)
             return 0
-        if args.jobs < 1:
-            raise UsageError("--jobs must be >= 1")
         command = importlib.import_module(f".commands.{args.command}", __package__)
         report, code = command.run(args)
         report = {"command": args.command, **report}

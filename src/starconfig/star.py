@@ -70,7 +70,7 @@ def symbolic_shapes(cfg: StarConfig, ell: int, enum_cap: int = DEFAULT_ENUM_CAP)
     check_ell(ell)
     s, c = cfg.s, cfg.c
     entries = s * comb_past(ell + c - 1, c - 1, enum_cap)  # C(..) bounds the c-tuples summing to ell
-    check_cap(entries, enum_cap, "symbolic power shapes need up to {} entries")
+    check_cap(entries, enum_cap, "symbolic power shape candidates hold {} entries")
     return tuple((0,) * (c - len(p)) + p + (p[-1],) * (s - c) for p in _partitions(ell, c, 1))
 
 

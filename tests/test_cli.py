@@ -295,7 +295,7 @@ def test_huge_hvector_is_refused_fast(capsys, argv):
     [
         # one argv per count-cap refusal, each worded through errors.check_cap
         ("symbolic --s 3000000 --c 1500000 --ell 3000000",
-         "symbolic power shapes need up to more than 5000000 entries, cap is 5000000"),
+         "symbolic power shape candidates hold more than 5000000 entries, cap is 5000000"),
         ("symbolic --s 40 --c 20 --ell 2", "symbolic power generators need 9786506808000 entries, cap is 5000000"),
         ("hvector --s 4 --c 2 --ell 3 --degree-cap 1", "h-vector has degree 8, cap is 1"),
         ("hvector --s 400 --c 200 --ell 400",
@@ -439,22 +439,27 @@ def test_csv_only_for_scan(capsys, monkeypatch):
     assert calls == [[], []]
 
 
-@pytest.mark.parametrize(
-    "variable, reader, other",
-    [
-        ("STARCONFIG_POWER_CAP", ["scan", "--s", "4", "--c", "3", "--mmax", "2", "--rmax", "2"], ["hvector", "--s", "4", "--c", "2"]),
-        ("STARCONFIG_DEGREE_CAP", ["hvector", "--s", "4", "--c", "2"], ["symbolic", "--s", "4", "--c", "2", "--ell", "2"]),
-        ("STARCONFIG_ENUM_CAP", ["symbolic", "--s", "4", "--c", "2", "--ell", "2"], ["containment", "--s", "4", "--c", "2", "--m", "3", "--r", "2"]),
-    ],
-)
-def test_malformed_env_cap_fails_only_its_readers(capsys, monkeypatch, variable, reader, other):
-    monkeypatch.setenv(variable, "bananas")
-    code, out, err = run(capsys, reader)
-    assert code == 2 and out == "" and err.startswith(f"error (usage): {variable} must be an integer")
-    code, out, err = run(capsys, other)
-    assert code == 0 and out and err == ""
-    # the full parser (help, or no command named) reads every variable, as before
-    assert run(capsys, ["--help"])[0] == 2
+@pytest.mark.parametrize("value", ["bananas", "1"])
+def test_caps_are_set_only_by_their_flags(capsys, monkeypatch, value):
+    # the former STARCONFIG_* cap overrides, malformed or tiny, change nothing
+    argvs = [
+        ["--help"],
+        [],
+        ["containment", "--s", "5", "--c", "3", "--m", "2", "--r", "7"],
+        ["symbolic", "--s", "4", "--c", "2", "--ell", "2", "--format", "json"],
+        ["hvector", "--s", "4", "--c", "2"],
+    ]
+    names = ("STARCONFIG_ENUM_CAP", "STARCONFIG_DEGREE_CAP", "STARCONFIG_POWER_CAP")
+    for name in names:
+        monkeypatch.delenv(name, raising=False)
+    unset = [run(capsys, argv) for argv in argvs]
+    for name in names:
+        monkeypatch.setenv(name, value)
+    assert [run(capsys, argv) for argv in argvs] == unset
+    assert unset[0][0] == 0 and unset[1][0] == 2
+    assert unset[2] == (3, "", "error (resource-cap): power exponent r=7 exceeds the cap 5 for s=5\n")
+    assert unset[3][0] == 0 and json.loads(unset[3][1])["caps"] == {"enum_cap": 5000000}
+    assert unset[4][0] == 0
 
 
 def _sample_argv(command):
@@ -527,6 +532,7 @@ def test_flag_forms(capsys):
         (["hvector", "--s", "4", "--c", "2", "--ell", "-1"], "need ell >= 1, got -1"),
         # every problem is named, in one line
         (["skeleton", "--s", "x", "surplus"], "unexpected argument 'surplus'; --s must be an integer, got 'x'; --c needs a value"),
+        (["skeleton", "--s", "x", "--c", "2", "--jobs", "0"], "--s must be an integer, got 'x'; --jobs must be positive, got 0"),
     ],
 )
 def test_parse_errors(capsys, argv, reason):
@@ -537,15 +543,6 @@ def test_parse_errors(capsys, argv, reason):
         assert code == 2 and out == ""
         if argv[0] in cli.COMMANDS:
             assert json.loads(err) == {"error": {"kind": "usage", "reason": reason}}
-
-
-def test_env_cap_override(capsys, monkeypatch):
-    monkeypatch.setenv("STARCONFIG_POWER_CAP", "7")
-    code, _, _ = run(capsys, ["containment", "--s", "5", "--c", "3", "--m", "2", "--r", "7"])
-    assert code == 0
-    monkeypatch.setenv("STARCONFIG_POWER_CAP", "bananas")
-    code, _, err = run(capsys, ["containment", "--s", "5", "--c", "3", "--m", "2", "--r", "2"])
-    assert code == 2
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -572,8 +569,8 @@ def test_jobs_flag_does_not_change_output(capsys):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
-    code, _, err = run(capsys, ["skeleton", "--s", "4", "--c", "2", "--jobs", "0"])
-    assert code == 2
+    # --jobs is checked as a cap flag is, at parsing
+    assert run(capsys, ["skeleton", "--s", "4", "--c", "2", "--jobs", "0"]) == (2, "", "error (usage): --jobs must be positive, got 0\n")
 
 
 def test_repeated_runs_are_byte_identical(capsys):
