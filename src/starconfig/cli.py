@@ -1,10 +1,10 @@
 """Command-line surface: structured reports, their rendering, and dispatch.
 
-Every command builds a plain-dict report and renders it as text, json (by
-starconfig.jsontext, imported only for it), or csv (scan only, checked at
-parsing, and written by starconfig.commands.scan).  Reports are
-byte-deterministic: identical inputs produce identical output regardless of
-the --jobs hint, which is validated but deliberately not echoed.
+Every command builds a plain-dict report and renders it as text, json
+(json.dumps, imported only for it), or csv (scan only, checked at parsing,
+and written by starconfig.commands.scan).  Reports are byte-deterministic:
+identical inputs produce identical output regardless of the --jobs hint,
+which is validated but deliberately not echoed.
 
 Exit codes: 0 computed/verified (and -h/--help), 1 theorem check failed
 (witness printed), 2 usage error, 3 resource cap exceeded.  A report that
@@ -94,9 +94,9 @@ def _scalar(value) -> str:
 def render(report: dict, fmt: str) -> str:
     """The report as json or text; csv comes from the command's own module."""
     if fmt == "json":
-        from .jsontext import dumps
+        import json
 
-        return dumps(report) + "\n"
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
     return _render_text(report)
 
 

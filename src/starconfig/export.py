@@ -123,7 +123,7 @@ def export_cas(
         if entries > config.DEFAULT_ENUM_CAP:
             break
         entries += comb(s, k) * k
-    check_cap(entries, config.DEFAULT_ENUM_CAP, "the script holds at least {} form coefficients and subset entries")
+    check_cap(entries, config.DEFAULT_ENUM_CAP, "the script's form coefficients and subset entries reach {}")
     forms = coordinate_forms(s) if forms is None else forms
     m_exp = (s - c + 1) * ell
     m2 = target == "m2-syntax"

@@ -106,7 +106,7 @@ def symbolic_h_vector(cfg: config.StarConfig, ell: int, d_cap: int | None = None
     if d_cap is not None:
         check_cap(ell * width - 1, d_cap, "h-vector has degree {}")
     work = _symbolic_work(s, c, ell)
-    check_cap(work, config.DEFAULT_ENUM_CAP, "closed-form Hilbert numerator needs about {} word operations")
+    check_cap(work, config.DEFAULT_ENUM_CAP, "closed-form Hilbert numerator is estimated at {} word operations")
     rows = {p: [comb(c - p - 1 + j, j) for j in range(width)] for p in range(c) if p == 0 or p > c - ell}
     n = [0] * (ell * width)
     for v in range(ell):

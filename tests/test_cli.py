@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cli_cases import GOLDEN_COMMANDS
-from starconfig import cli, decomp, export, jsontext, resolution, shapes, star
+from starconfig import cli, decomp, export, resolution, shapes, star
 
 GOLDEN = Path(__file__).parent / "golden"
 HUGE = str(10**3000)
@@ -299,12 +299,19 @@ def test_huge_hvector_is_refused_fast(capsys, argv):
         ("symbolic --s 40 --c 20 --ell 2", "symbolic power generators need 9786506808000 entries, cap is 5000000"),
         ("hvector --s 4 --c 2 --ell 3 --degree-cap 1", "h-vector has degree 8, cap is 1"),
         ("hvector --s 400 --c 200 --ell 400",
-         "closed-form Hilbert numerator needs about 48161000 word operations, cap is 5000000"),
+         "closed-form Hilbert numerator is estimated at 48161000 word operations, cap is 5000000"),
+        # past 2^64 a count is worded `more than <cap>`, which must still read as one bound
+        ("hvector --s 99999999999999999999 --c 3",
+         "closed-form Hilbert numerator is estimated at more than 5000000 word operations, cap is 5000000"),
+        ("hvector --s 5 --c 3 --ell 99999999999999999999",
+         "closed-form Hilbert numerator is estimated at more than 5000000 word operations, cap is 5000000"),
         ("decomp --s 100000 --c 2 --ell 1 --s-cap 100000",
          "decomposition check scans more than 5000000 exponent tuples, cap is 5000000"),
         ("scan --s 4 --c 2 --mmax 1000 --rmax 300 --power-cap 300", "the scan has 300000 cells, cap is 100000"),
         ("export --s 30 --c 15 --ell 1 --target m2-syntax",
-         "the script holds at least 18649350 form coefficients and subset entries, cap is 5000000"),
+         "the script's form coefficients and subset entries reach 18649350, cap is 5000000"),
+        ("export --s 10000000000 --c 2 --ell 1 --target m2-syntax",
+         "the script's form coefficients and subset entries reach more than 5000000, cap is 5000000"),
     ],
 )
 def test_count_cap_refusals_are_worded_alike(capsys, argv, line):
@@ -579,28 +586,40 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert first == second
 
 
-# report-shaped values: dicts with str keys, lists, tuples, str, int, bool, None
-JSON_TEXT = st.text(st.sampled_from('"\\\x00\b\t\n\x1f\x7f\x80\u00e9\u20ac\ufffd\U0001f600\U0010ffff') | st.characters())
-JSON_SCALARS = (
-    st.none() | st.booleans() | st.integers() | st.sampled_from([2**64, -(2**64) - 1, 3**100]) | JSON_TEXT
-)
-REPORT_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner) | st.just(()) | st.dictionaries(JSON_TEXT, inner, max_size=4),
-    max_leaves=24,
-)
+# each command's flags for one --format json run: json.dumps writes a float, NaN or Infinity without complaint
+JSON_RUNS = {
+    "skeleton": "--s 5 --c 2",
+    "symbolic": "--s 4 --c 2 --ell 2",
+    "hvector": "--s 6 --c 3 --ell 2",
+    "betti": "--s 7 --c 3",
+    "hb": "--s 4 --m 3",
+    "decomp": "--s 4 --c 2 --ell 2",
+    "containment": "--s 5 --c 2 --m 7 --r 5",
+    "scan": "--s 4 --c 2 --mmax 8 --rmax 5",
+    "matroid": "--s 6 --c 3",
+    "wk": "--s 5 --ell 2",
+    "export": "--s 4 --c 2 --ell 2 --target m2-syntax",
+}
 
 
-@settings(max_examples=300, deadline=None)
-@given(REPORT_VALUES)
-def test_jsontext_writes_what_json_dumps_writes(value):
-    assert jsontext.dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+def exact_json(text: str):
+    """text parsed as JSON, failing on any number that is not an integer."""
+
+    def inexact(token):
+        raise AssertionError(f"a report holds the inexact number {token}")
+
+    return json.loads(text, parse_float=inexact, parse_constant=inexact)
 
 
-@pytest.mark.parametrize("value", [1.5, {1, 2}, {"a": [0, 0.5]}, {1: "a key that is not a str"}])
-def test_jsontext_refuses_what_a_report_does_not_hold(value):
-    with pytest.raises(TypeError):
-        jsontext.dumps(value)
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_json_reports_hold_only_exact_numbers(capsys, command):
+    code, out, _ = run(capsys, [command, *JSON_RUNS[command].split(), "--format", "json"])
+    assert code == 0 and exact_json(out)["command"] == command
+
+
+def test_json_error_object_holds_only_exact_numbers(capsys):
+    code, out, err = run(capsys, ["hb", "--s", "2", "--m", "1", "--format", "json"])
+    assert (code, out) == (2, "") and exact_json(err)["error"]["kind"] == "usage"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
@@ -686,8 +705,11 @@ def test_process_help_runs_the_cli_module_once(capsys, argv):
     assert out.decode() == run(capsys, argv)[1]
 
 
-# ratios are int pairs and reports are written without json or csv; only export's --forms reads Fractions
-SERIALIZERS_AND_RATIONALS = {"json", "csv", "fractions", "decimal", "numbers"}
+# ratios are int pairs and csv rows are f-strings; json (with its own submodules) is loaded only
+# for --format json, and only export's --forms reads Fractions
+JSON_MODULES = {"json", "json.decoder", "json.scanner", "json.encoder", "_json"}
+RATIONALS = {"fractions", "decimal", "numbers"}
+SERIALIZERS_AND_RATIONALS = JSON_MODULES | RATIONALS | {"csv"}
 PROCESS_CASES = [(argv, 0) for argv in GOLDEN_COMMANDS.values()] + [
     # bench/workloads.py's containment-grid
     ("scan --s 5 --c 3 --mmax 20 --rmax 8 --power-cap 8 --format json".split(), 0),
@@ -703,7 +725,7 @@ PROCESS_CASES = [(argv, 0) for argv in GOLDEN_COMMANDS.values()] + [
 def test_process_loads_no_serializer_or_rational_module(argv, code):
     got, _, err = finish(child(argv, python_flags=("-X", "importtime")))
     assert got == code
-    allowed = {"fractions", "decimal", "numbers"} if "--forms" in argv else set()
+    allowed = (JSON_MODULES if "json" in argv else set()) | (RATIONALS if "--forms" in argv else set())
     assert imported(err) & SERIALIZERS_AND_RATIONALS <= allowed
 
 
