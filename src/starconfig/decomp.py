@@ -13,17 +13,15 @@ by cross-multiplication; no floating point appears in any decision path.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 
 from . import config
-from .errors import ResourceCapError, TheoremViolation, UsageError, check_cap
+from .errors import TheoremViolation, UsageError, check_cap
 from .record import Record
 
 # Ordinary powers blow up with the number of variables; these are the
-# default caps on the power exponent r, overridable per call.
-DEFAULT_R_CAPS = {3: 10, 4: 8, 5: 5}
-DEFAULT_R_CAP_LARGE = 3
+# default caps on the power exponent r, by s (3 past the table), overridable per call.
+DEFAULT_R_CAPS = {2: 10, 3: 10, 4: 8, 5: 5}
 
 # Default desk-scale caps for the decomposition/saturation verifiers.
 DECOMP_S_CAP = 5
@@ -33,22 +31,8 @@ DECOMP_L_CAP = 3
 SCAN_CELL_CAP = 100_000
 
 
-def _default_r_cap(s: int) -> int:
-    return DEFAULT_R_CAPS.get(s, DEFAULT_R_CAP_LARGE if s > 5 else 10)
-
-
-def _check_decomp(check: str, s: int, c: int, ell: int, s_cap: int, l_cap: int) -> None:
-    config.StarConfig(s, c)  # validate ranges first: a malformed input is a usage error, not a refusal
-    config.check_ell(ell)
-    if s > s_cap or ell > l_cap:
-        raise ResourceCapError(f"{check} check capped at s <= {s_cap}, ell <= {l_cap}; got s={s}, ell={ell}")
-    cap = config.DEFAULT_ENUM_CAP
-    tuples = config.comb_past((s - c + 1) * ell + s, s, cap)  # what _decomp_verdicts scans, when the caps are raised
-    check_cap(tuples, cap, f"{check} check scans {{}} exponent tuples")
-
-
 def _box_walk(s: int, c: int, ell: int):
-    """The four predicates of _decomp_verdicts for each nondecreasing tuple of the box [0, d*ell]^s.
+    """The four predicates of decomp_verdicts for each nondecreasing tuple of the box [0, d*ell]^s.
 
     Yields (in I^ell, in the symbolic intersection, in M^(d*ell), in
     I^ell : M^inf) per tuple, the tuples in combinations_with_replacement
@@ -74,8 +58,9 @@ def _box_walk(s: int, c: int, ell: int):
     return walk(0, 0, 0, 0, True)
 
 
-@lru_cache(maxsize=64)
-def _decomp_verdicts(s: int, c: int, ell: int) -> tuple[bool, bool]:
+def decomp_verdicts(
+    s: int, c: int, ell: int, s_cap: int = DECOMP_S_CAP, l_cap: int = DECOMP_L_CAP
+) -> tuple[bool, bool]:
     """(power decomposition holds, saturation identity holds), in one scan of threshold predicates.
 
     With d = s-c+1 and M the irrelevant ideal, x^a lies in
@@ -92,7 +77,16 @@ def _decomp_verdicts(s: int, c: int, ell: int) -> tuple[bool, bool]:
     generated by the g/gcd(g, x^b).  Ideals generated in the box are equal iff
     they hold the same box monomials, so the predicates compared on the
     C(d*ell+s, s) nondecreasing tuples of the box decide both identities.
+
+    Refused past s_cap, past l_cap, or when the scan passes the enum cap;
+    the ranges of (s, c) and ell are checked first, as usage errors.
     """
+    config.StarConfig(s, c)
+    config.check_ell(ell)
+    check_cap(s, s_cap, "decomposition check runs on {} variables")
+    check_cap(ell, l_cap, "decomposition check's power exponent ell is {}")
+    cap = config.DEFAULT_ENUM_CAP
+    check_cap(config.comb_past((s - c + 1) * ell + s, s, cap), cap, "decomposition check scans {} exponent tuples")
     power_ok = sat_ok = True
     for in_power, in_intersection, in_m, in_saturation in _box_walk(s, c, ell):
         power_ok = power_ok and in_power == (in_intersection and in_m)
@@ -103,17 +97,15 @@ def _decomp_verdicts(s: int, c: int, ell: int) -> tuple[bool, bool]:
 def verify_power_decomposition(
     s: int, c: int, ell: int, s_cap: int = DECOMP_S_CAP, l_cap: int = DECOMP_L_CAP
 ) -> bool:
-    """Whether the ell-th ordinary power equals its symbolic-power decomposition (see _decomp_verdicts)."""
-    _check_decomp("decomposition", s, c, ell, s_cap, l_cap)
-    return _decomp_verdicts(s, c, ell)[0]
+    """Whether the ell-th ordinary power equals its symbolic-power decomposition (see decomp_verdicts)."""
+    return decomp_verdicts(s, c, ell, s_cap, l_cap)[0]
 
 
 def verify_saturation(
     s: int, c: int, ell: int, s_cap: int = DECOMP_S_CAP, l_cap: int = DECOMP_L_CAP
 ) -> bool:
-    """Whether saturating the ell-th power removes exactly the irrelevant factor."""
-    _check_decomp("saturation", s, c, ell, s_cap, l_cap)
-    return _decomp_verdicts(s, c, ell)[1]
+    """Whether saturating the ell-th power removes exactly the irrelevant factor (see decomp_verdicts)."""
+    return decomp_verdicts(s, c, ell, s_cap, l_cap)[1]
 
 
 def symbolic_in_power(s: int, c: int, m: int, r: int, r_cap: int | None = None) -> bool:
@@ -140,9 +132,7 @@ def symbolic_in_power(s: int, c: int, m: int, r: int, r_cap: int | None = None) 
     cfg = config.StarConfig(s, c)  # validated before the cap, as m and r are
     if m < 1 or r < 1:
         raise UsageError(f"need m, r >= 1, got m={m}, r={r}")
-    cap = _default_r_cap(s) if r_cap is None else r_cap
-    if r > cap:
-        raise ResourceCapError(f"power exponent r={r} exceeds the cap {cap} for s={s}")
+    check_cap(r, DEFAULT_R_CAPS.get(s, 3) if r_cap is None else r_cap, f"power exponent r for s={s} is {{}}")
     return config.alpha_symbolic_formula(cfg, m) >= r * (s - c + 1)
 
 
@@ -241,6 +231,7 @@ __all__ = [
     "DECOMP_S_CAP",
     "SCAN_CELL_CAP",
     "criterion",
+    "decomp_verdicts",
     "resurgence_scan",
     "rho_exact",
     "symbolic_in_power",

@@ -13,18 +13,16 @@ class ResourceCapError(RuntimeError):
     """A computation exceeded its configured cap; the message carries the cap."""
 
 
-def over_cap(count: int, cap: int) -> str:
-    """A refused count as its message words it: the count when it fits in 64 bits, else `more than <cap>`.
-
-    Past Python's 4,300-digit int-to-str limit the count could not be printed at all.
-    """
-    return str(count) if count < 1 << 64 else f"more than {cap}"
-
-
 def check_cap(count: int, cap: int, what: str) -> None:
-    """Refuse a count past its cap: `what` with the count, worded by over_cap, in its `{}`, then `, cap is <cap>`."""
+    """Refuse a count past its cap: `what` with the count in its `{}`, then `, cap is <cap>`.
+
+    This is the only place that raises ResourceCapError.  A count of 2^64 or
+    more is worded `more than <cap>`: past Python's 4,300-digit int-to-str
+    limit it could not be printed at all.
+    """
     if count > cap:
-        raise ResourceCapError(f"{what.format(over_cap(count, cap))}, cap is {cap}")
+        shown = count if count < 1 << 64 else f"more than {cap}"
+        raise ResourceCapError(f"{what.format(shown)}, cap is {cap}")
 
 
 class TheoremViolation(AssertionError):

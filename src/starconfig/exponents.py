@@ -67,11 +67,6 @@ class MonomialIdeal(Record):
     def is_unit(self) -> bool:
         return bool(self.gens) and sum(self.gens[0]) == 0
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "(0)"
-        return "(" + ", ".join(monomial_str(g) for g in self.gens) + ")"
-
 
 def unit_ideal(arity: int) -> MonomialIdeal:
     return MonomialIdeal(arity, ((0,) * arity,))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 
-from .errors import ResourceCapError, UsageError
+from .errors import UsageError
 from .shapes import HVector, _poly_add, _poly_mul, _poly_trim
 
 
@@ -75,7 +75,7 @@ def h_vector(ideal: ex.MonomialIdeal, c: int) -> HVector:
     The differenced sequence has generating series K(t)/(1-t)^c, so it
     stabilizes at zero exactly when (1-t)^c divides the numerator, and the
     entries are the quotient coefficients.  A non-stabilizing sequence (the
-    ideal does not define codimension c) raises ResourceCapError.  This runs
+    ideal does not define codimension c) raises UsageError.  This runs
     the pivot recursion on the built ideal and has no degree cap; for a
     skeleton symbolic power call shapes.symbolic_h_vector, which builds no
     ideal and takes the CLI's degree cap.
@@ -86,9 +86,7 @@ def h_vector(ideal: ex.MonomialIdeal, c: int) -> HVector:
     entries = list(_numerator(ideal))
     for _ in range(c):
         if sum(entries) != 0:  # remainder of division by (1-t)
-            raise ResourceCapError(
-                f"h-vector entries fail to stabilize at zero; is the ideal of codimension {c}?"
-            )
+            raise UsageError(f"h-vector entries fail to stabilize at zero; is the ideal of codimension {c}?")
         entries = list(accumulate(entries[:-1]))
     return HVector(_poly_trim(entries))
 

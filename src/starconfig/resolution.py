@@ -13,7 +13,7 @@ pivot-recursion numerator of a built ideal.
 
 from __future__ import annotations
 
-from .errors import ResourceCapError, TheoremViolation, UsageError, over_cap
+from .errors import TheoremViolation, UsageError, check_cap
 from .record import Record
 
 # Hard cap on the minor dimension of hb_matrix; larger requests get a resource error.
@@ -34,9 +34,6 @@ class SymbolicMatrix(Record):
     def _validate(self):
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise UsageError("entry grid does not match the declared dimensions")
-
-    def entry(self, i: int, j: int) -> tuple[int, ex.Exponent] | None:
-        return self.entries[i][j]
 
 
 def euler_check(shape: ResolutionShape, ideal: ex.MonomialIdeal) -> bool:
@@ -64,9 +61,7 @@ def hb_matrix(s: int, m: int) -> SymbolicMatrix:
     r = m // 2
     top, left = (1, 0) if m % 2 == 0 else (s, s - 1)  # the header's rows and columns
     rows, cols = top + s * r, left + s * r
-    if cols > DET_DIMENSION_CAP:
-        dimension = over_cap(cols, DET_DIMENSION_CAP)
-        raise ResourceCapError(f"minor dimension {dimension} exceeds the cap {DET_DIMENSION_CAP}")
+    check_cap(cols, DET_DIMENSION_CAP, "minor dimension {}")
     x = [tuple(int(j == i) for j in range(s)) for i in range(s)]
     p = [tuple(int(j != i) for j in range(s)) for i in range(s)]
     grid = [[None] * cols for _ in range(rows)]

@@ -157,9 +157,6 @@ class ResolutionShape(Record):
 
     modules: tuple[tuple[tuple[int, int], ...], ...]
 
-    def length(self) -> int:
-        return len(self.modules)
-
 
 def en_rank(s: int, c: int, i: int) -> int:
     """Rank of the i-th module in the linear resolution of the codimension-c skeleton ideal."""

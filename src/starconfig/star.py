@@ -22,7 +22,7 @@ from . import exponents as ex
 from .config import (
     DEFAULT_ENUM_CAP, StarConfig, alpha_symbolic_formula, check_codim2, check_ell, comb_past, omega_symbolic_formula
 )
-from .errors import ResourceCapError, UsageError, check_cap, over_cap
+from .errors import UsageError, check_cap
 from .record import Record
 
 # is_matroid and Stanley-Reisner extraction list every face as a vertex bitmask.
@@ -140,8 +140,7 @@ def check_lemma_contain(cfg: StarConfig) -> bool:
 
 def _check_vertex_count(v: int) -> None:
     """Refuse a complex on more than MATROID_VERTEX_CAP vertices, whose face-set checks list 2^v masks."""
-    if v > MATROID_VERTEX_CAP:
-        raise ResourceCapError(f"face-set checks are capped at {MATROID_VERTEX_CAP} vertices, got {v}")
+    check_cap(v, MATROID_VERTEX_CAP, "face-set checks take a complex on {} vertices")
 
 
 def skeleton_complex(cfg: StarConfig) -> SimplicialComplex:
@@ -220,11 +219,9 @@ def check_wk(s: int, ell: int) -> None:
     """Refuse s < 3 or ell < 1 as usage errors, and an s whose W_k chain checks pass the enum cap."""
     check_codim2(s)
     check_ell(ell)
-    # the chain checks run the Hilbert numerator recursion on W_k, which has no cap of its own;
-    # (ell+3)^s >= 2^s passes the cap once s reaches the cap's bit length, so a huge power is never computed
-    if s >= DEFAULT_ENUM_CAP.bit_length() or (ell + 3) ** s > DEFAULT_ENUM_CAP:
-        base = over_cap(ell + 3, DEFAULT_ENUM_CAP)
-        raise ResourceCapError(f"W_k is capped at (ell+3)^s <= {DEFAULT_ENUM_CAP}, got {base}^{s}")
+    # the chain checks run the Hilbert numerator recursion on W_k, which has no cap of its own.  Past 64
+    # factors the power is at least 4^64 > 2^64, past the cap and worded `more than`, so no huge power is computed
+    check_cap((ell + 3) ** min(s, 64), DEFAULT_ENUM_CAP, "W_k chain checks scale with (ell+3)^s = {}")
 
 
 def wk_ideal(s: int, ell: int, k: int) -> ex.MonomialIdeal:

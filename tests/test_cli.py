@@ -255,7 +255,7 @@ def test_betti_14_7_is_checked(capsys):
         # past the vertex cap, refused before the 10.4 million or C(100000, 2) facets are listed
         ["matroid", "--s", "26", "--c", "13"],
         ["matroid", "--s", "100000", "--c", "2"],
-        # (ell+3)^s is never evaluated, and no list of s steps is built
+        # (ell+3)^s is evaluated with at most 64 factors, and no list of s steps is built
         ["wk", "--s", str(10**400), "--ell", "1"],
         # the closed-form numerator's work check runs before the resolution shape is listed
         ["betti", "--s", "20000", "--c", "10000"],
@@ -293,7 +293,7 @@ def test_huge_hvector_is_refused_fast(capsys, argv):
 @pytest.mark.parametrize(
     "argv, line",
     [
-        # one argv per count-cap refusal, each worded through errors.check_cap
+        # one argv per cap refusal, each worded through errors.check_cap
         ("symbolic --s 3000000 --c 1500000 --ell 3000000",
          "symbolic power shape candidates hold more than 5000000 entries, cap is 5000000"),
         ("symbolic --s 40 --c 20 --ell 2", "symbolic power generators need 9786506808000 entries, cap is 5000000"),
@@ -312,6 +312,15 @@ def test_huge_hvector_is_refused_fast(capsys, argv):
          "the script's form coefficients and subset entries reach 18649350, cap is 5000000"),
         ("export --s 10000000000 --c 2 --ell 1 --target m2-syntax",
          "the script's form coefficients and subset entries reach more than 5000000, cap is 5000000"),
+        ("hb --s 5 --m 8", "minor dimension 20, cap is 16"),
+        pytest.param(f"hb --s {HUGE} --m {HUGE}", "minor dimension more than 16, cap is 16", id="hb --s HUGE --m HUGE"),
+        ("containment --s 5 --c 3 --m 2 --r 7", "power exponent r for s=5 is 7, cap is 5"),
+        ("matroid --s 17 --c 2", "face-set checks take a complex on 17 vertices, cap is 16"),
+        ("decomp --s 6 --c 2 --ell 2", "decomposition check runs on 6 variables, cap is 5"),
+        ("decomp --s 4 --c 2 --ell 4", "decomposition check's power exponent ell is 4, cap is 3"),
+        ("wk --s 12 --ell 1", "W_k chain checks scale with (ell+3)^s = 16777216, cap is 5000000"),
+        ("wk --s 3 --ell 99999999999999999999",
+         "W_k chain checks scale with (ell+3)^s = more than 5000000, cap is 5000000"),
     ],
 )
 def test_count_cap_refusals_are_worded_alike(capsys, argv, line):
@@ -368,7 +377,7 @@ def test_exhausted_resource_is_exit_3(capsys, monkeypatch, exc):
     def boom(*args, **kwargs):
         raise exc()
 
-    monkeypatch.setattr(decomp, "verify_power_decomposition", boom)
+    monkeypatch.setattr(decomp, "decomp_verdicts", boom)
     code, out, err = run(capsys, ["decomp", "--s", "4", "--c", "2", "--ell", "2"])
     assert code == 3 and out == ""
     assert err.startswith(f"error (resource-cap): {exc.__name__}")
@@ -424,14 +433,14 @@ def test_theorem_violation_exit_code(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise TheoremViolation("witness: fabricated for the exit-code path")
 
-    monkeypatch.setattr(decomp, "verify_power_decomposition", boom)
+    monkeypatch.setattr(decomp, "decomp_verdicts", boom)
     code, _, err = run(capsys, ["decomp", "--s", "4", "--c", "2", "--ell", "2"])
     assert code == 1
     assert "witness" in err
 
 
 def test_failed_check_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(decomp, "verify_power_decomposition", lambda *a, **k: False)
+    monkeypatch.setattr(decomp, "decomp_verdicts", lambda *a, **k: (False, True))
     code, out, _ = run(capsys, ["decomp", "--s", "4", "--c", "2", "--ell", "2", "--format", "json"])
     assert code == 1
     assert json.loads(out)["failure_reason"]
@@ -464,7 +473,7 @@ def test_caps_are_set_only_by_their_flags(capsys, monkeypatch, value):
         monkeypatch.setenv(name, value)
     assert [run(capsys, argv) for argv in argvs] == unset
     assert unset[0][0] == 0 and unset[1][0] == 2
-    assert unset[2] == (3, "", "error (resource-cap): power exponent r=7 exceeds the cap 5 for s=5\n")
+    assert unset[2] == (3, "", "error (resource-cap): power exponent r for s=5 is 7, cap is 5\n")
     assert unset[3][0] == 0 and json.loads(unset[3][1])["caps"] == {"enum_cap": 5000000}
     assert unset[4][0] == 0
 

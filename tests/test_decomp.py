@@ -76,8 +76,7 @@ def generic_verdicts(s, c, ell):
 def test_verdicts_match_generic_path(s):
     for c in range(1, s):
         for ell in (1, 2, 3):
-            verdicts = (decomp.verify_power_decomposition(s, c, ell), decomp.verify_saturation(s, c, ell))
-            assert verdicts == generic_verdicts(s, c, ell) == (True, True), (s, c, ell)
+            assert decomp.decomp_verdicts(s, c, ell) == generic_verdicts(s, c, ell) == (True, True), (s, c, ell)
 
 
 @settings(max_examples=150, deadline=None)
@@ -110,6 +109,13 @@ def test_decomp_refuses_a_scan_past_the_enum_cap():
         decomp.verify_saturation(12, 2, 4, s_cap=12, l_cap=4)
     with pytest.raises(UsageError):
         decomp.verify_power_decomposition(4, 2, 0)
+
+
+def test_decomp_refuses_s_before_ell():
+    with pytest.raises(ResourceCapError, match="runs on 6 variables, cap is 5$"):
+        decomp.decomp_verdicts(6, 2, 4)
+    with pytest.raises(ResourceCapError, match="ell is 4, cap is 3$"):
+        decomp.decomp_verdicts(5, 2, 4)
 
 
 def test_verify_saturation():

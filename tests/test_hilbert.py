@@ -83,10 +83,11 @@ def test_h_vector_brute_differencing():
 
 
 def test_h_vector_wrong_codimension_fails_to_stabilize():
-    # overstating the codimension differences too few times; the entries never vanish
-    with pytest.raises(ResourceCapError):
+    # overstating the codimension differences too few times; the entries never vanish.  A wrong
+    # codimension is a misuse of h_vector, not a cap, so it is a usage error
+    with pytest.raises(UsageError, match="fail to stabilize"):
         hilbert.h_vector(skeleton_ideal(StarConfig(4, 2)), 3)
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(UsageError, match="fail to stabilize"):
         hilbert.h_vector(oracles.zero_ideal(3), 2)
     # understating it still stabilizes (with a signed tail); garbage in, garbage out
     assert hilbert.h_vector(skeleton_ideal(StarConfig(4, 2)), 1).entries == (1, 1, 1, -3)

@@ -1,5 +1,6 @@
-"""The package surface: value records, and the lazily imported top-level names."""
+"""The package surface: value records, the lazily imported top-level names, and the one refusal rule."""
 
+import ast
 import doctest
 import importlib
 import pkgutil
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import starconfig as sc
+from starconfig import errors
 from starconfig.errors import UsageError
 from starconfig.record import Record
 
@@ -77,6 +79,24 @@ def test_export_lists_name_what_their_modules_define():
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (module.__name__, name)
         exec(f"from {module.__name__} import *", {})
+
+
+def test_resource_cap_error_is_raised_only_by_check_cap():
+    # every refusal is worded by errors.check_cap, `<what with the count>, cap is <cap>`, and by nothing else
+    raisers = []
+    for path in sorted(Path(sc.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, (ast.Name, ast.Attribute)) and ast.unparse(exc).endswith("ResourceCapError"):
+                    inside = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                    raisers.append((path.stem, inside))
+    assert raisers == [("errors", ["check_cap"])]
+    module_functions = {node.name for node in ast.parse(Path(errors.__file__).read_text()).body
+                        if isinstance(node, ast.FunctionDef)}
+    assert module_functions == {"check_cap"}  # over_cap is folded in
 
 
 def test_readme_example():

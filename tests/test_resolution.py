@@ -96,7 +96,7 @@ def test_ss_resolution_last_module_has_single_twist():
     for s in range(3, 8):
         for c in range(2, s):
             shape = shapes.ss_resolution(s, c)
-            assert shape.length() == c
+            assert len(shape.modules) == c
             assert len(shape.modules[-1]) == 1  # N_c = 0
 
 
@@ -132,14 +132,14 @@ def test_euler_check():
 def test_hb_matrix_shapes():
     m42 = resolution.hb_matrix(4, 2)
     assert (m42.rows, m42.cols) == (5, 4)
-    assert all(m42.entry(0, j)[0] == -1 for j in range(4))
-    assert all(sum(m42.entry(0, j)[1]) == 3 for j in range(4))
+    assert all(m42.entries[0][j][0] == -1 for j in range(4))
+    assert all(sum(m42.entries[0][j][1]) == 3 for j in range(4))
     m43 = resolution.hb_matrix(4, 3)
     assert (m43.rows, m43.cols) == (8, 7)
     # D block is bidiagonal: -x_j on the diagonal, x_{j+1} below
     for j in range(3):
-        assert m43.entry(j, j)[0] == -1
-        assert m43.entry(j + 1, j)[0] == 1
+        assert m43.entries[j][j][0] == -1
+        assert m43.entries[j + 1][j][0] == 1
     # every entry is zero or a signed monomial
     for mat in (m42, m43, resolution.hb_matrix(5, 4)):
         for row in mat.entries:
@@ -206,7 +206,7 @@ def test_maximal_minors_match_the_expansion_oracle():
 
 def test_determinant_cap():
     # the cap is hb_matrix's: it refuses a minor dimension past 16 before building anything
-    with pytest.raises(ResourceCapError, match="minor dimension 20 exceeds the cap 16"):
+    with pytest.raises(ResourceCapError, match="minor dimension 20, cap is 16"):
         resolution.hb_matrix(5, 8)
 
 
