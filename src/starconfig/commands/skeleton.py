@@ -1,4 +1,7 @@
-"""The `skeleton` command: the skeleton ideal, its h-vector against the generic one, degree and alpha."""
+"""The `skeleton` command: the skeleton ideal, its h-vector against the generic one, degree and alpha.
+
+At ell = 1 the closed-form h-vector is the paper's generic one, so h_vector_matches_generic restates it.
+"""
 
 from .. import exponents as ex, shapes, star
 from . import ideal_summary

@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, determinism, and golden files."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -197,6 +198,14 @@ def test_wk_builds_each_ideal_once(capsys, monkeypatch, k):
     assert sorted(call[2] for call in calls) == (list(range(6)) if k is None else [k, k + 1])
 
 
+def test_wk_checks_each_degree_against_the_built_ideal(capsys, monkeypatch):
+    # a constant shift keeps the closed form's degree step true, so only the built W_k's h-vector catches it
+    closed_form = star.wk_degree
+    monkeypatch.setattr(star, "wk_degree", lambda s, ell, k: closed_form(s, ell, k) + 1)
+    code, out, _ = run(capsys, ["wk", "--s", "5", "--ell", "1"])
+    assert code == 1 and "all_steps_verified: false\n" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -381,50 +390,6 @@ def test_exhausted_resource_is_exit_3(capsys, monkeypatch, exc):
     code, out, err = run(capsys, ["decomp", "--s", "4", "--c", "2", "--ell", "2"])
     assert code == 3 and out == ""
     assert err.startswith(f"error (resource-cap): {exc.__name__}")
-
-
-# what a CLI process must not load: on importing the CLI, then over one text-format run of a command
-IMPORT_LEAVES_OUT = (
-    "numpy", "dataclasses", "inspect", "fractions", "json", "argparse", "gettext", "locale",
-    "starconfig.config", "starconfig.commands", "starconfig.decomp", "starconfig.resolution",
-    "starconfig.shapes",
-)
-SHAPES = ("starconfig.shapes",)  # the closed forms
-RECURSION = ("starconfig.hilbert", "starconfig.resolution")  # the pivot recursion and the Hilbert-Burch minors
-IDEALS = ("starconfig.exponents", "starconfig.star") + RECURSION
-RUN_LEAVES_OUT = {
-    "decomp --s 5 --c 3 --ell 3": IDEALS + SHAPES + ("fractions", "decimal", "json"),
-    "containment --s 5 --c 2 --m 7 --r 5": IDEALS + SHAPES + ("fractions", "json"),
-    "scan --s 4 --c 2 --mmax 8 --rmax 5": IDEALS + SHAPES + ("fractions", "decimal", "json"),
-    "export --s 4 --c 2 --ell 2 --target m2-syntax": ("starconfig.star", "fractions", "json"),
-    "hvector --s 6 --c 3 --ell 2": RECURSION + ("starconfig.exponents", "starconfig.decomp", "dataclasses", "inspect", "fractions", "json"),
-    "betti --s 7 --c 3": RECURSION + ("starconfig.exponents", "starconfig.star", "json"),
-    "hb --s 4 --m 3": SHAPES + ("starconfig.hilbert", "json"),
-    "skeleton --s 5 --c 2": RECURSION + ("starconfig.decomp", "json"),
-}
-
-
-def test_cli_import_leaves_numpy_out():
-    # fresh interpreters: this one has imported these modules for other reasons
-    src = Path(cli.__file__).resolve().parent.parent
-    probe = (
-        "import os, sys, starconfig.cli\n"
-        "leaves_out = sys.argv[1].split()\n"
-        "if len(sys.argv) > 2:\n"
-        "    print(starconfig.cli.main(sys.argv[2:] + ['--output', os.devnull]))\n"
-        "print(sorted(set(leaves_out) & set(sys.modules)))\n"
-    )
-
-    def loaded(leaves_out, argv=""):
-        return subprocess.run(
-            [sys.executable, "-c", probe, " ".join(leaves_out), *argv.split()],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, timeout=60, check=True,
-        ).stdout
-
-    assert loaded(IMPORT_LEAVES_OUT) == "[]\n"
-    for argv, leaves_out in RUN_LEAVES_OUT.items():
-        assert loaded(leaves_out + ("argparse", "gettext", "locale"), argv) == "0\n[]\n", argv
 
 
 def test_theorem_violation_exit_code(capsys, monkeypatch):
@@ -736,6 +701,69 @@ def test_process_loads_no_serializer_or_rational_module(argv, code):
     assert got == code
     allowed = (JSON_MODULES if "json" in argv else set()) | (RATIONALS if "--forms" in argv else set())
     assert imported(err) & SERIALIZERS_AND_RATIONALS <= allowed
+
+
+def load_bench_workloads():
+    path = Path(__file__).parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclass needs its module registered
+    spec.loader.exec_module(module)
+    return module
+
+
+# README's table: what each command compiles besides the package, errors, record, config, the commands
+# package and its own module (cli.py itself runs as __main__ under -m, so starconfig.cli is not loaded)
+COMPILES = {
+    "hvector": {"shapes"}, "betti": {"shapes"},
+    "skeleton": {"shapes", "star", "exponents"},
+    "symbolic": {"star", "exponents"}, "matroid": {"star", "exponents"},
+    "wk": {"star", "exponents", "hilbert", "shapes"},
+    "hb": {"resolution", "star", "exponents"},
+    "decomp": {"decomp"}, "containment": {"decomp"}, "scan": {"decomp"},
+    "export": {"export"},
+}
+# the bench's refusals: hb refuses m < 2 and its minor dimension in resolution, before star builds anything
+REFUSALS = {
+    "hb --s 2 --m 1": (2, {"resolution"}),
+    "scan --s 5 --c 3 --mmax 20 --rmax 8": (3, COMPILES["scan"]),
+    "decomp --s 6 --c 2 --ell 2": (3, COMPILES["decomp"]),
+    "hb --s 5 --m 8": (3, {"resolution"}),
+}
+NEVER_LOADED = {"numpy", "dataclasses", "inspect", "argparse", "gettext", "locale", "csv"}
+# every argv of the benchmark, and text runs of scan and skeleton (which the bench prints as JSON or csv)
+# and of hvector and hb at other sizes
+MODULE_CASES = sorted({" ".join(case.argv) for cases in load_bench_workloads().WORKLOADS.values() for case in cases()} | {
+    "scan --s 4 --c 2 --mmax 8 --rmax 5", "hvector --s 6 --c 3 --ell 2", "hb --s 4 --m 3", "skeleton --s 5 --c 2",
+})
+
+
+def loaded_modules(python_args) -> tuple[int, set[str]]:
+    """The exit code of a `python -v` child and the modules it imported, from its `import '<name>'` lines.
+
+    -X importtime would miss the submodules that importlib.import_module loads: the package's
+    __getattr__ on a `from .. import X` probe, and cli.main's command module.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-v", *python_args], env=env, capture_output=True, text=True, timeout=60)
+    return proc.returncode, {line.split("'")[1] for line in proc.stderr.splitlines() if line.startswith("import '")}
+
+
+def test_cli_import_leaves_numpy_out():
+    code, modules = loaded_modules(["-c", "import starconfig.cli"])
+    assert code == 0 and {m for m in modules if m.startswith("starconfig")} == {"starconfig", "starconfig.cli", "starconfig.errors"}
+    assert not modules & (NEVER_LOADED | JSON_MODULES | RATIONALS)
+
+
+@pytest.mark.parametrize("command_line", MODULE_CASES)
+def test_process_loads_exactly_its_modules(command_line):
+    argv = command_line.split()
+    code, modules = loaded_modules(["-m", "starconfig.cli", *argv])
+    expected_code, library = REFUSALS.get(command_line, (0, COMPILES[argv[0]]))
+    expected = {"starconfig"} | {f"starconfig.{m}" for m in {"errors", "record", "config", "commands", f"commands.{argv[0]}"} | library}
+    assert code == expected_code
+    assert {m for m in modules if m.startswith("starconfig")} == expected
+    allowed = (JSON_MODULES if "json" in argv else set()) | (RATIONALS if "--forms" in argv else set())
+    assert not modules & (NEVER_LOADED | JSON_MODULES | RATIONALS) - allowed
 
 
 @pytest.mark.parametrize("argv", [["skeleton", "--s", "4", "--c", "2"], ["--help"]])

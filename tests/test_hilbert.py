@@ -3,8 +3,6 @@
 from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from starconfig import exponents as ex
@@ -263,15 +261,6 @@ def test_numerator():
     assert k == (1, 0, 0, -4, 3)
     # K(t) = (1-t)^2 (1 + 2t + 3t^2), and the h-vector sums to the degree
     assert sum(hilbert.h_vector(skeleton_ideal(StarConfig(4, 2)), 2).entries) == 6
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_symbolic_numerator_matches_pivot_recursion(data):
-    s = data.draw(st.integers(2, 7))
-    cfg = StarConfig(s, data.draw(st.integers(1, s - 1)))
-    ell = data.draw(st.integers(1, 6))
-    assert shapes.symbolic_numerator(cfg, ell) == hilbert._numerator(symbolic_power(cfg, ell))
 
 
 def test_symbolic_numerator_matches_pivot_recursion_on_a_grid():
