@@ -117,7 +117,7 @@ COMMANDS = {
         ("--ell", {"type": int, "default": 1}), ("--degree-cap", _CAP))),
     "betti": ("resolution shape of the symbolic square plus the Euler check", ("c",), ()),
     "hb": ("determinantal matrix, its maximal minors, and the minor-ideal check", ("m",), ()),
-    "decomp": ("power decomposition and saturation identity", ("c", "ell"), (("--s-cap", _CAP), ("--l-cap", _CAP))),
+    "decomp": ("power decomposition and saturation identity", ("c", "ell"), (("--s-cap", _CAP),)),
     "containment": ("single symbolic-vs-ordinary power containment", ("c", "m", "r"), (("--power-cap", _CAP),)),
     "scan": ("containment grid with the empirical resurgence supremum", ("c", "mmax", "rmax"), (("--power-cap", _CAP),)),
     "matroid": ("matroid property of the skeleton complex and the Stanley-Reisner check", ("c",), ()),
@@ -260,7 +260,7 @@ def _send(name: str, text: str) -> None:
 def _write(text: str, path: str | None) -> None:
     """Write text to the file at path, else to stdout; a failed write is a usage error (exit 2)."""
     try:
-        if path:
+        if path is not None:
             with open(path, "w") as fh:
                 fh.write(text)
         else:

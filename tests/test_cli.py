@@ -285,7 +285,7 @@ def test_betti_14_7_is_checked(capsys):
         ["wk", "--s", "3", "--ell", "9" * 4300],
         ["hb", "--s", "4", "--m", "9" * 4300],
         ["betti", "--s", "9" * 4300, "--c", "2"],
-        ["decomp", "--s", "4", "--c", "2", "--ell", "9" * 4300, "--l-cap", "9" * 4300],
+        ["decomp", "--s", "4", "--c", "2", "--ell", "9" * 4300],
         # the binomials compared with the cap stop once past it, before a million-factor product
         ["symbolic", "--s", "3000000", "--c", "1500000", "--ell", "3000000"],
         ["decomp", "--s", "1000000", "--c", "2", "--ell", "1", "--s-cap", "1000000"],
@@ -326,7 +326,10 @@ def test_huge_hvector_is_refused_fast(capsys, argv):
         ("containment --s 5 --c 3 --m 2 --r 7", "power exponent r for s=5 is 7, cap is 5"),
         ("matroid --s 17 --c 2", "face-set checks take a complex on 17 vertices, cap is 16"),
         ("decomp --s 6 --c 2 --ell 2", "decomposition check runs on 6 variables, cap is 5"),
-        ("decomp --s 4 --c 2 --ell 4", "decomposition check's power exponent ell is 4, cap is 3"),
+        ("decomp --s 5 --c 2 --ell 14", "decomposition check scans 5949147 exponent tuples, cap is 5000000"),
+        pytest.param(f"decomp --s 4 --c 2 --ell {'9' * 4300}",
+                     "decomposition check scans more than 5000000 exponent tuples, cap is 5000000",
+                     id="decomp --s 4 --c 2 --ell 9*4300"),
         ("wk --s 12 --ell 1", "W_k chain checks scale with (ell+3)^s = 16777216, cap is 5000000"),
         ("wk --s 3 --ell 99999999999999999999",
          "W_k chain checks scale with (ell+3)^s = more than 5000000, cap is 5000000"),
@@ -514,6 +517,12 @@ def test_flag_forms(capsys):
         # every problem is named, in one line
         (["skeleton", "--s", "x", "surplus"], "unexpected argument 'surplus'; --s must be an integer, got 'x'; --c needs a value"),
         (["skeleton", "--s", "x", "--c", "2", "--jobs", "0"], "--s must be an integer, got 'x'; --jobs must be positive, got 0"),
+        # ell is bounded by the scan's tuple count alone
+        (["decomp", "--s", "4", "--c", "2", "--ell", "2", "--l-cap", "3"], "unexpected argument '--l-cap'"),
+        # an empty value is a value: empty forms, and a path that cannot be opened
+        (["export", "--s", "2", "--c", "1", "--ell", "1", "--target", "m2-syntax", "--forms="], "empty linear form in --forms"),
+        (["export", "--s", "2", "--c", "1", "--ell", "1", "--target", "m2-syntax", "--forms", ""], "empty linear form in --forms"),
+        (["skeleton", "--s", "4", "--c", "2", "--output", ""], "cannot write the report: [Errno 2] No such file or directory: ''"),
     ],
 )
 def test_parse_errors(capsys, argv, reason):
@@ -666,41 +675,10 @@ def test_process_with_a_broken_stdout_pipe_exits_2(fmt):
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
-def imported(err: str) -> set[str]:
-    """The modules that a child run under `-X importtime` imported, from its stderr."""
-    return {line.rpartition("|")[2].strip() for line in err.splitlines() if line.startswith("import time:")}
-
-
-@pytest.mark.parametrize("argv", [["--help"]] + [[command, "--help"] for command in cli.COMMANDS], ids=["top-level", *cli.COMMANDS])
-def test_process_help_runs_the_cli_module_once(capsys, argv):
-    # under -m the CLI module runs as __main__; importing it again as starconfig.cli would compile and run it twice
-    code, out, err = finish(child(argv, python_flags=("-X", "importtime")))
-    assert code == 0 and "starconfig.usage" in imported(err) and "starconfig.cli" not in imported(err)
-    assert out.decode() == run(capsys, argv)[1]
-
-
 # ratios are int pairs and csv rows are f-strings; json (with its own submodules) is loaded only
 # for --format json, and only export's --forms reads Fractions
 JSON_MODULES = {"json", "json.decoder", "json.scanner", "json.encoder", "_json"}
 RATIONALS = {"fractions", "decimal", "numbers"}
-SERIALIZERS_AND_RATIONALS = JSON_MODULES | RATIONALS | {"csv"}
-PROCESS_CASES = [(argv, 0) for argv in GOLDEN_COMMANDS.values()] + [
-    # bench/workloads.py's containment-grid
-    ("scan --s 5 --c 3 --mmax 20 --rmax 8 --power-cap 8 --format json".split(), 0),
-    ("scan --s 6 --c 4 --mmax 12 --rmax 4 --power-cap 4 --format json".split(), 0),
-    ("containment --s 5 --c 2 --m 7 --r 5".split(), 0),
-    # a usage error and a cap refusal, each written as the JSON error object
-    ("hb --s 2 --m 1 --format json".split(), 2),
-    ("decomp --s 6 --c 2 --ell 2 --format json".split(), 3),
-]
-
-
-@pytest.mark.parametrize("argv, code", PROCESS_CASES, ids=[" ".join(argv) for argv, _ in PROCESS_CASES])
-def test_process_loads_no_serializer_or_rational_module(argv, code):
-    got, _, err = finish(child(argv, python_flags=("-X", "importtime")))
-    assert got == code
-    allowed = (JSON_MODULES if "json" in argv else set()) | (RATIONALS if "--forms" in argv else set())
-    assert imported(err) & SERIALIZERS_AND_RATIONALS <= allowed
 
 
 def load_bench_workloads():
@@ -722,44 +700,55 @@ COMPILES = {
     "decomp": {"decomp"}, "containment": {"decomp"}, "scan": {"decomp"},
     "export": {"export"},
 }
-# the bench's refusals: hb refuses m < 2 and its minor dimension in resolution, before star builds anything
+# the bench's refusals, two of them also as JSON error objects: hb refuses m < 2 and its minor dimension in
+# resolution, before star builds anything
 REFUSALS = {
     "hb --s 2 --m 1": (2, {"resolution"}),
+    "hb --s 2 --m 1 --format json": (2, {"resolution"}),
     "scan --s 5 --c 3 --mmax 20 --rmax 8": (3, COMPILES["scan"]),
     "decomp --s 6 --c 2 --ell 2": (3, COMPILES["decomp"]),
+    "decomp --s 6 --c 2 --ell 2 --format json": (3, COMPILES["decomp"]),
     "hb --s 5 --m 8": (3, {"resolution"}),
 }
+# help is written by starconfig.usage alone: under -m the CLI module runs as __main__, and importing it
+# again as starconfig.cli would compile and run it twice
+HELP_CASES = ["--help"] + [f"{command} --help" for command in cli.COMMANDS]
 NEVER_LOADED = {"numpy", "dataclasses", "inspect", "argparse", "gettext", "locale", "csv"}
-# every argv of the benchmark, and text runs of scan and skeleton (which the bench prints as JSON or csv)
-# and of hvector and hb at other sizes
+# every argv of the benchmark, text runs of scan and skeleton (which the bench prints as JSON or csv) and
+# of hvector and hb at other sizes, the refusals as JSON error objects, and help
 MODULE_CASES = sorted({" ".join(case.argv) for cases in load_bench_workloads().WORKLOADS.values() for case in cases()} | {
     "scan --s 4 --c 2 --mmax 8 --rmax 5", "hvector --s 6 --c 3 --ell 2", "hb --s 4 --m 3", "skeleton --s 5 --c 2",
+    *REFUSALS, *HELP_CASES,
 })
 
 
-def loaded_modules(python_args) -> tuple[int, set[str]]:
-    """The exit code of a `python -v` child and the modules it imported, from its `import '<name>'` lines.
+def loaded_modules(python_args) -> tuple[int, set[str], str]:
+    """The exit code of a `python -v` child, the modules it imported (from its `import '<name>'` lines) and its stdout.
 
-    -X importtime would miss the submodules that importlib.import_module loads: the package's
-    __getattr__ on a `from .. import X` probe, and cli.main's command module.
+    The -v log lists the submodules that importlib.import_module loads, which Python's import-time
+    profile leaves out: the package's __getattr__ on a `from .. import X` probe, and cli.main's command module.
     """
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
     proc = subprocess.run([sys.executable, "-v", *python_args], env=env, capture_output=True, text=True, timeout=60)
-    return proc.returncode, {line.split("'")[1] for line in proc.stderr.splitlines() if line.startswith("import '")}
+    return proc.returncode, {line.split("'")[1] for line in proc.stderr.splitlines() if line.startswith("import '")}, proc.stdout
 
 
 def test_cli_import_leaves_numpy_out():
-    code, modules = loaded_modules(["-c", "import starconfig.cli"])
+    code, modules, _ = loaded_modules(["-c", "import starconfig.cli"])
     assert code == 0 and {m for m in modules if m.startswith("starconfig")} == {"starconfig", "starconfig.cli", "starconfig.errors"}
     assert not modules & (NEVER_LOADED | JSON_MODULES | RATIONALS)
 
 
 @pytest.mark.parametrize("command_line", MODULE_CASES)
-def test_process_loads_exactly_its_modules(command_line):
+def test_process_loads_exactly_its_modules(capsys, command_line):
     argv = command_line.split()
-    code, modules = loaded_modules(["-m", "starconfig.cli", *argv])
-    expected_code, library = REFUSALS.get(command_line, (0, COMPILES[argv[0]]))
-    expected = {"starconfig"} | {f"starconfig.{m}" for m in {"errors", "record", "config", "commands", f"commands.{argv[0]}"} | library}
+    code, modules, out = loaded_modules(["-m", "starconfig.cli", *argv])
+    if command_line in HELP_CASES:
+        expected_code, expected = 0, {"starconfig", "starconfig.errors", "starconfig.usage"}
+        assert out == run(capsys, argv)[1]
+    else:
+        expected_code, library = REFUSALS.get(command_line, (0, COMPILES[argv[0]]))
+        expected = {"starconfig"} | {f"starconfig.{m}" for m in {"errors", "record", "config", "commands", f"commands.{argv[0]}"} | library}
     assert code == expected_code
     assert {m for m in modules if m.startswith("starconfig")} == expected
     allowed = (JSON_MODULES if "json" in argv else set()) | (RATIONALS if "--forms" in argv else set())

@@ -1,5 +1,7 @@
 """Power decompositions, saturation, containment, and resurgence."""
 
+import inspect
+import typing
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -49,7 +51,7 @@ def test_verify_power_decomposition():
     assert decomp.verify_power_decomposition(4, 2, 3)
     with pytest.raises(ResourceCapError):
         decomp.verify_power_decomposition(6, 2, 2)
-    assert decomp.verify_power_decomposition(4, 2, 4, l_cap=4)
+    assert decomp.verify_power_decomposition(4, 2, 4)
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +77,7 @@ def generic_verdicts(s, c, ell):
 @pytest.mark.parametrize("s", [2, 3, 4, 5])
 def test_verdicts_match_generic_path(s):
     for c in range(1, s):
-        for ell in (1, 2, 3):
+        for ell in range(1, 6 if s <= 4 else 4):
             assert decomp.decomp_verdicts(s, c, ell) == generic_verdicts(s, c, ell) == (True, True), (s, c, ell)
 
 
@@ -97,16 +99,18 @@ def test_box_memberships_match_built_ideals(data):
 
 
 def test_box_walk_matches_the_scan():
-    # every s <= 6, c and ell <= 3, and (7, 3, 3): the same predicates in combinations_with_replacement order
-    for s, c, ell in [(s, c, ell) for s in range(2, 7) for c in range(1, s) for ell in (1, 2, 3)] + [(7, 3, 3)]:
+    # every s <= 6, c and ell <= 3, ell 4 and 5 for s <= 4, and (7, 3, 3): the same predicates in
+    # combinations_with_replacement order
+    cases = [(s, c, ell) for s in range(2, 7) for c in range(1, s) for ell in range(1, 6 if s <= 4 else 4)]
+    for s, c, ell in cases + [(7, 3, 3)]:
         box = combinations_with_replacement(range((s - c + 1) * ell + 1), s)
         assert list(decomp._box_walk(s, c, ell)) == [oracles.box_memberships(a, c, ell) for a in box], (s, c, ell)
 
 
 def test_decomp_refuses_a_scan_past_the_enum_cap():
-    # the s and ell caps raised, but C(d*ell + s, s) tuples would be scanned
+    # the s cap raised, but C(d*ell + s, s) tuples would be scanned
     with pytest.raises(ResourceCapError):
-        decomp.verify_saturation(12, 2, 4, s_cap=12, l_cap=4)
+        decomp.verify_saturation(12, 2, 4, s_cap=12)
     with pytest.raises(UsageError):
         decomp.verify_power_decomposition(4, 2, 0)
 
@@ -114,8 +118,17 @@ def test_decomp_refuses_a_scan_past_the_enum_cap():
 def test_decomp_refuses_s_before_ell():
     with pytest.raises(ResourceCapError, match="runs on 6 variables, cap is 5$"):
         decomp.decomp_verdicts(6, 2, 4)
+    # no cap on ell by default: the tuple count bounds the scan
+    assert decomp.decomp_verdicts(5, 2, 4) == (True, True)
     with pytest.raises(ResourceCapError, match="ell is 4, cap is 3$"):
-        decomp.decomp_verdicts(5, 2, 4)
+        decomp.decomp_verdicts(5, 2, 4, l_cap=3)
+
+
+def test_public_functions_have_resolvable_annotations():
+    # an annotation that names a type the module does not import fails only when it is resolved
+    for name in decomp.__all__:
+        if inspect.isfunction(getattr(decomp, name)):
+            typing.get_type_hints(getattr(decomp, name))
 
 
 def test_verify_saturation():
