@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, determinism, and golden files."""
 
+import functools
 import importlib.util
 import json
 import os
@@ -722,11 +723,13 @@ MODULE_CASES = sorted({" ".join(case.argv) for cases in load_bench_workloads().W
 })
 
 
-def loaded_modules(python_args) -> tuple[int, set[str], str]:
+@functools.cache
+def loaded_modules(*python_args) -> tuple[int, set[str], str]:
     """The exit code of a `python -v` child, the modules it imported (from its `import '<name>'` lines) and its stdout.
 
     The -v log lists the submodules that importlib.import_module loads, which Python's import-time
     profile leaves out: the package's __getattr__ on a `from .. import X` probe, and cli.main's command module.
+    A child is run once per argv and shared by the tests that read it.
     """
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
     proc = subprocess.run([sys.executable, "-v", *python_args], env=env, capture_output=True, text=True, timeout=60)
@@ -734,7 +737,7 @@ def loaded_modules(python_args) -> tuple[int, set[str], str]:
 
 
 def test_cli_import_leaves_numpy_out():
-    code, modules, _ = loaded_modules(["-c", "import starconfig.cli"])
+    code, modules, _ = loaded_modules("-c", "import starconfig.cli")
     assert code == 0 and {m for m in modules if m.startswith("starconfig")} == {"starconfig", "starconfig.cli", "starconfig.errors"}
     assert not modules & (NEVER_LOADED | JSON_MODULES | RATIONALS)
 
@@ -742,7 +745,7 @@ def test_cli_import_leaves_numpy_out():
 @pytest.mark.parametrize("command_line", MODULE_CASES)
 def test_process_loads_exactly_its_modules(capsys, command_line):
     argv = command_line.split()
-    code, modules, out = loaded_modules(["-m", "starconfig.cli", *argv])
+    code, modules, out = loaded_modules("-m", "starconfig.cli", *argv)
     if command_line in HELP_CASES:
         expected_code, expected = 0, {"starconfig", "starconfig.errors", "starconfig.usage"}
         assert out == run(capsys, argv)[1]
@@ -753,6 +756,25 @@ def test_process_loads_exactly_its_modules(capsys, command_line):
     assert {m for m in modules if m.startswith("starconfig")} == expected
     allowed = (JSON_MODULES if "json" in argv else set()) | (RATIONALS if "--forms" in argv else set())
     assert not modules & (NEVER_LOADED | JSON_MODULES | RATIONALS) - allowed
+
+
+# the goldens, bench/workloads.py's containment-grid, and a usage error and a cap refusal written as JSON
+# error objects; each child is one of MODULE_CASES, so its run is shared with the module pin above
+PROCESS_CASES = [(argv, 0) for argv in GOLDEN_COMMANDS.values()] + [
+    ("scan --s 5 --c 3 --mmax 20 --rmax 8 --power-cap 8 --format json".split(), 0),
+    ("scan --s 6 --c 4 --mmax 12 --rmax 4 --power-cap 4 --format json".split(), 0),
+    ("containment --s 5 --c 2 --m 7 --r 5".split(), 0),
+    ("hb --s 2 --m 1 --format json".split(), 2),
+    ("decomp --s 6 --c 2 --ell 2 --format json".split(), 3),
+]
+
+
+@pytest.mark.parametrize("argv, code", PROCESS_CASES, ids=[" ".join(argv) for argv, _ in PROCESS_CASES])
+def test_process_loads_no_serializer_or_rational_module(argv, code):
+    got, modules, _ = loaded_modules("-m", "starconfig.cli", *argv)
+    assert got == code
+    allowed = (JSON_MODULES if "json" in argv else set()) | (RATIONALS if "--forms" in argv else set())
+    assert not modules & (JSON_MODULES | RATIONALS | {"csv"}) - allowed
 
 
 @pytest.mark.parametrize("argv", [["skeleton", "--s", "4", "--c", "2"], ["--help"]])
