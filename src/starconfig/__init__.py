@@ -31,17 +31,15 @@ _EXPORTS = {
     "shapes": (
         "HVector",
         "ResolutionShape",
-        "en_rank",
         "generic_hvector",
         "ss_hvector_formula",
         "ss_resolution",
         "symbolic_h_vector",
         "symbolic_numerator",
     ),
-    "hilbert": ("bdg_hf_check", "h_vector"),
+    "hilbert": ("bdg_hf_check", "euler_check", "h_vector"),
     "resolution": (
         "SymbolicMatrix",
-        "euler_check",
         "expected_minor_monomials",
         "hb_matrix",
         "maximal_minors",

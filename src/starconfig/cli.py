@@ -38,6 +38,8 @@ def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
+        if sum(map(str.isdigit, text)) > 4300:  # past Python's int-from-str limit, and too long to echo
+            raise UsageError("has more than 4300 digits") from None
         raise UsageError(f"must be an integer, got {text!r}") from None
 
 

@@ -22,19 +22,22 @@ def coordinate_forms(s: int) -> list[tuple[int, ...]]:
 
 
 def _printable(coeff: str) -> str:
-    """The coefficient, refused as malformed when its mantissa digits and written exponent pass 4,300 digits.
+    """The coefficient, refused as malformed when its digits and written exponent pass 4,300 digits.
 
-    That is Python's int-to-str limit, so the script could not print it, and
-    Fraction would build 10^exponent first.
+    The digits are the mantissa's, or those of a/b's longer part; with the
+    exponent they bound the digits of the Fraction's numerator and
+    denominator.  That is Python's int-to-str limit, so the script could not
+    print them, and Fraction would build 10^exponent first.
     """
     mantissa, e, exponent = coeff.lower().partition("e")
-    exponent = exponent.replace("_", "")
-    if e and exponent.lstrip("+-").isdigit() and sum(map(str.isdigit, mantissa)) + abs(int(exponent)) > 4300:
+    exponent = exponent.replace("_", "").lstrip("+-").lstrip("0")
+    shift = int(exponent[:5]) if e and exponent.isdigit() else 0  # five significant digits already pass 4,300
+    if max(sum(map(str.isdigit, part)) for part in mantissa.split("/")) + shift > 4300:
         raise ValueError("more than 4300 digits")
     return coeff
 
 
-def parse_forms(text: str) -> list[tuple[Fraction, ...]]:
+def parse_forms(text: str) -> list[tuple]:
     """Parse ``a,b,c;d,e,f;...`` into coefficient tuples (exact rationals)."""
     from fractions import Fraction
 
@@ -56,7 +59,7 @@ def parse_forms(text: str) -> list[tuple[Fraction, ...]]:
     return forms
 
 
-def _pairwise_dependent(forms: list[tuple[Fraction, ...]]) -> list[tuple[int, int]]:
+def _pairwise_dependent(forms: list[tuple]) -> list[tuple[int, int]]:
     """The pairs i < j of proportional forms, in order; a zero form is proportional to every form.
 
     Nonzero forms are proportional iff they agree once each is divided by its
@@ -75,11 +78,11 @@ def _pairwise_dependent(forms: list[tuple[Fraction, ...]]) -> list[tuple[int, in
     return sorted(pairs)
 
 
-def _coeff_str(q: Fraction) -> str:
+def _coeff_str(q) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _form_str(coeffs: tuple[Fraction, ...]) -> str:
+def _form_str(coeffs: tuple) -> str:
     parts = []
     for i, a in enumerate(coeffs):
         if a == 0:
@@ -91,9 +94,7 @@ def _form_str(coeffs: tuple[Fraction, ...]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def export_cas(
-    s: int, c: int, ell: int, target: str, forms: list[tuple[Fraction, ...]] | None
-) -> str:
+def export_cas(s: int, c: int, ell: int, target: str, forms: list[tuple] | None) -> str:
     """Emit a script for an external computer-algebra system.
 
     The script builds the codimension-c configuration ideal of the given

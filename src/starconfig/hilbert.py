@@ -11,7 +11,8 @@ with coprime generator blocks split multiplicatively.  For the skeleton
 ideals and their symbolic powers the h-polynomial K(t)/(1-t)^c has a closed
 form (starconfig.shapes.symbolic_h_vector) that builds no ideal; the
 recursion stays the oracle it is tested against, and runs h_vector,
-bdg_hf_check and resolution.euler_check on built ideals.
+bdg_hf_check and euler_check (a closed-form resolution shape against the
+numerator) on built ideals.
 All arithmetic is exact integer arithmetic; the numerator is a finite
 polynomial whose degree is bounded by the degree of the lcm of the
 generators.
@@ -22,8 +23,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 
+from . import exponents as ex
 from .errors import UsageError
-from .shapes import HVector, _poly_add, _poly_mul, _poly_trim
+from .shapes import HVector, ResolutionShape, _poly_add, _poly_mul, _poly_trim, shape_numerator
 
 
 def _support_blocks(gens: tuple[ex.Exponent, ...]) -> list[tuple[ex.Exponent, ...]]:
@@ -42,8 +44,6 @@ def _support_blocks(gens: tuple[ex.Exponent, ...]) -> list[tuple[ex.Exponent, ..
 @lru_cache(maxsize=4096)
 def _numerator(ideal: ex.MonomialIdeal) -> tuple[int, ...]:
     """Coefficients of the Hilbert-series numerator K(t) of R/ideal."""
-    from . import exponents as ex  # only the recursion needs ideal arithmetic
-
     gens = ideal.gens
     s = ideal.arity
     if not gens:
@@ -112,7 +112,13 @@ def bdg_hf_check(
     return _numerator(i_result) == _poly_add(_poly_add(k_s, k_s, d, -1), _numerator(i_c), d)
 
 
+def euler_check(shape: ResolutionShape, ideal: ex.MonomialIdeal) -> bool:
+    """Whether the shape's alternating-sum numerator matches the ideal's Hilbert-series numerator."""
+    return shape_numerator(shape) == _numerator(ideal)
+
+
 __all__ = [
     "bdg_hf_check",
+    "euler_check",
     "h_vector",
 ]

@@ -1,14 +1,12 @@
-"""Hilbert-Burch matrices of codimension-2 symbolic powers, their maximal minors, and the Euler check.
+"""Hilbert-Burch matrices of codimension-2 symbolic powers and their maximal minors.
 
 For codimension 2, every symbolic power is the ideal of maximal minors of an
 explicit block matrix whose entries are signed monomials in the s variables.
 Each row-deleted square of that matrix has exactly one perfect matching of
 its nonzero entries, so each minor is read off that matching as a signed
 monomial, in integers, and compared against the predicted monomial family
-and the symbolic power itself.  The closed-form resolution shapes
-(Eagon-Northcott for the skeleton, a mapping cone for the symbolic square)
-live in starconfig.shapes; euler_check holds one against the
-pivot-recursion numerator of a built ideal.
+and the symbolic power itself.  The closed-form resolution shapes live in
+starconfig.shapes, and hilbert.euler_check holds one against a built ideal.
 """
 
 from __future__ import annotations
@@ -29,19 +27,11 @@ class SymbolicMatrix(Record):
 
     rows: int
     cols: int
-    entries: tuple[tuple[tuple[int, ex.Exponent] | None, ...], ...]
+    entries: tuple[tuple[tuple[int, tuple[int, ...]] | None, ...], ...]
 
     def _validate(self):
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise UsageError("entry grid does not match the declared dimensions")
-
-
-def euler_check(shape: ResolutionShape, ideal: ex.MonomialIdeal) -> bool:
-    """Whether the shape's alternating-sum numerator matches the ideal's Hilbert-series numerator."""
-    from . import hilbert
-    from .shapes import shape_numerator  # here, so that hb compiles no shapes
-
-    return shape_numerator(shape) == hilbert._numerator(ideal)
 
 
 def hb_matrix(s: int, m: int) -> SymbolicMatrix:
@@ -83,7 +73,7 @@ def hb_matrix(s: int, m: int) -> SymbolicMatrix:
     return SymbolicMatrix(rows, cols, tuple(tuple(row) for row in grid))
 
 
-def maximal_minors(matrix: SymbolicMatrix) -> list[tuple[int, ex.Exponent]]:
+def maximal_minors(matrix: SymbolicMatrix) -> list[tuple[int, tuple[int, ...]]]:
     """The determinants of the squares obtained by deleting one row, in row order, as (sign, exponent).
 
     The nonzero entries of a square are the edges of a bipartite graph on
@@ -166,7 +156,7 @@ def maximal_minors(matrix: SymbolicMatrix) -> list[tuple[int, ex.Exponent]]:
     return minors
 
 
-def expected_minor_monomials(s: int, m: int) -> set[ex.Exponent]:
+def expected_minor_monomials(s: int, m: int) -> set[tuple[int, ...]]:
     """The predicted monomial family for the maximal minors, up to sign.
 
     Even m = 2r: P^r together with P^{r-j} P_i^{2j} for j = 1..r and each i.
@@ -179,7 +169,7 @@ def expected_minor_monomials(s: int, m: int) -> set[ex.Exponent]:
     return {tuple(r - j if v == i else r + j + odd for v in range(s)) for j in range(r + 1) for i in range(s)}
 
 
-def verify_hb(s: int, m: int, minors: list[tuple[int, ex.Exponent]] | None = None) -> bool:
+def verify_hb(s: int, m: int, minors: list[tuple[int, tuple[int, ...]]] | None = None) -> bool:
     """Whether the maximal minors of hb_matrix(s, m) generate exactly the m-th symbolic power.
 
     An s < 3 is refused first (check_codim2).  Pass the minors, as
@@ -200,7 +190,6 @@ def verify_hb(s: int, m: int, minors: list[tuple[int, ex.Exponent]] | None = Non
 __all__ = [
     "DET_DIMENSION_CAP",
     "SymbolicMatrix",
-    "euler_check",
     "expected_minor_monomials",
     "hb_matrix",
     "maximal_minors",

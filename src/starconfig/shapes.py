@@ -2,13 +2,13 @@
 
 symbolic_h_vector counts the standard monomials of R/I^(ell) by their
 sorted exponents and builds no ideal; generic_hvector and ss_hvector_formula
-are the paper's h-vectors at ell = 1 and 2.  en_rank (Eagon-Northcott) and
-ss_resolution (the mapping cone of the symbolic square) list resolution
-shapes, and shape_numerator turns a shape into its Hilbert-series numerator.
+are the paper's h-vectors at ell = 1 and 2.  ss_resolution (the mapping
+cone of the symbolic square) lists a resolution shape, and shape_numerator
+turns a shape into its Hilbert-series numerator.
 This module imports only config, errors, record and the standard library,
 so the `hvector`, `betti` and `skeleton` commands compile neither the pivot
-recursion of `hilbert` nor the determinant code of `resolution`; the
-recursion takes its polynomial helpers from here.
+recursion of `hilbert` nor the determinant code of `resolution`; `hilbert`
+takes its polynomial helpers and shape_numerator from here.
 """
 
 from __future__ import annotations
@@ -158,13 +158,6 @@ class ResolutionShape(Record):
     modules: tuple[tuple[tuple[int, int], ...], ...]
 
 
-def en_rank(s: int, c: int, i: int) -> int:
-    """Rank of the i-th module in the linear resolution of the codimension-c skeleton ideal."""
-    if not 1 <= i <= c:
-        raise UsageError(f"homological index must satisfy 1 <= i <= c, got i={i}, c={c}")
-    return comb(s, s - c + i) * comb(s - c + i - 1, i - 1)
-
-
 def check_ss(s: int, c: int) -> None:
     """Refuse a (s, c) outside ss_resolution's range 2 <= c <= s-1 as a usage error."""
     if not 2 <= c <= s - 1:
@@ -204,7 +197,6 @@ __all__ = [
     "HVector",
     "ResolutionShape",
     "check_ss",
-    "en_rank",
     "generic_hvector",
     "shape_numerator",
     "ss_hvector_formula",

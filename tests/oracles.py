@@ -9,7 +9,8 @@ per-tuple box predicates that the decomposition walk carries, the
 intersection and sum constructors, the sparse polynomials and their
 cofactor expansion that the unique-matching minors replaced, and the
 2x2-minor test for proportional linear forms.  No command reaches them; the
-tests compare the library against them.
+tests compare the library against them.  en_rank, the skeleton's
+Eagon-Northcott ranks, is a closed form that only the tests call.
 """
 
 from __future__ import annotations
@@ -262,6 +263,16 @@ def hilbert_function(ideal: ex.MonomialIdeal, d: int) -> int:
     s = ideal.arity
     k = _numerator(ideal)
     return sum(c * comb(d - j + s - 1, s - 1) for j, c in enumerate(k) if j <= d)
+
+
+# --- resolution ranks (from starconfig.shapes) ---
+
+
+def en_rank(s: int, c: int, i: int) -> int:
+    """Rank of the i-th module in the linear (Eagon-Northcott) resolution of the codimension-c skeleton ideal."""
+    if not 1 <= i <= c:
+        raise UsageError(f"homological index must satisfy 1 <= i <= c, got i={i}, c={c}")
+    return comb(s, s - c + i) * comb(s - c + i - 1, i - 1)
 
 
 # --- sparse polynomials and cofactor expansion (from starconfig.resolution) ---

@@ -524,6 +524,10 @@ def test_flag_forms(capsys):
         (["export", "--s", "2", "--c", "1", "--ell", "1", "--target", "m2-syntax", "--forms="], "empty linear form in --forms"),
         (["export", "--s", "2", "--c", "1", "--ell", "1", "--target", "m2-syntax", "--forms", ""], "empty linear form in --forms"),
         (["skeleton", "--s", "4", "--c", "2", "--output", ""], "cannot write the report: [Errno 2] No such file or directory: ''"),
+        # past Python's 4,300-digit int-from-str limit, a value is refused by its digits, not as a non-integer
+        pytest.param(["skeleton", "--s", "9" * 4301, "--c", "2"], "--s has more than 4300 digits", id="skeleton --s 9*4301"),
+        pytest.param(["export", "--s", "2", "--c", "1", "--ell", "1", "--target", "m2-syntax", "--forms", f"1,{'9' * 4301};0,1"],
+                     f"malformed coefficient in '1,{'9' * 4301}': more than 4300 digits", id="export --forms 1,9*4301;0,1"),
     ],
 )
 def test_parse_errors(capsys, argv, reason):
@@ -612,6 +616,14 @@ def test_golden(name, capsys):
     assert code == 0
     expected = (GOLDEN / name).read_text()
     assert out == expected
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_through_output(name, tmp_path, capsys):
+    # _write's file branch, for every renderer: json, text, csv and the export scripts
+    target = tmp_path / name
+    assert run(capsys, GOLDEN_COMMANDS[name] + ["--output", str(target)]) == (0, "", "")
+    assert target.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 # a fresh `python -m starconfig.cli` process, which ends through cli.entry, its os._exit included
@@ -833,9 +845,10 @@ def test_export_malformed_forms(capsys):
     assert "malformed" in err
 
 
-@pytest.mark.parametrize("coeff", ["1e5000", "1e100000000"])
+@pytest.mark.parametrize("coeff", ["1e5000", "1e100000000", pytest.param("0." + "9" * 4300, id="0.9*4300"),
+                                   pytest.param("1e" + "1" * 4301, id="1e1*4301")])
 def test_export_refuses_a_coefficient_past_the_digit_limit(capsys, coeff):
-    # refused from its written exponent, before Fraction builds 10^exponent
+    # refused from its digits and written exponent, before Fraction builds 10^exponent or the script prints it
     start = time.perf_counter()
     code, out, err = run(capsys, [
         "export", "--s", "2", "--c", "1", "--ell", "1", "--target", "m2-syntax", "--forms", f"{coeff},0;0,1",

@@ -3,8 +3,10 @@
 import ast
 import doctest
 import importlib
+import inspect
 import pkgutil
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -97,6 +99,34 @@ def test_resource_cap_error_is_raised_only_by_check_cap():
     module_functions = {node.name for node in ast.parse(Path(errors.__file__).read_text()).body
                         if isinstance(node, ast.FunctionDef)}
     assert module_functions == {"check_cap"}  # over_cap is folded in
+
+
+def test_only_hilbert_names_the_pivot_recursion():
+    # hilbert owns the Hilbert numerator recursion: other layers reach it through h_vector, bdg_hf_check, euler_check
+    namers = set()
+    for path in sorted(Path(sc.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if "_numerator" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                namers.add(path.stem)
+    assert namers == {"hilbert"}
+
+
+def test_public_functions_have_resolvable_annotations():
+    # an annotation that names a type its module does not import fails only when it is resolved
+    unresolved = []
+    for info in pkgutil.walk_packages(sc.__path__, "starconfig."):
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            value = getattr(module, name)
+            if getattr(value, "__module__", None) != info.name:  # a constant, a type alias or a re-export
+                continue
+            methods = [v for v in vars(value).values() if inspect.isfunction(v)] if inspect.isclass(value) else []
+            for target in [value, *methods]:
+                try:
+                    typing.get_type_hints(target)
+                except NameError as exc:
+                    unresolved.append(f"{info.name}.{getattr(target, '__qualname__', name)}: {exc}")
+    assert unresolved == []
 
 
 def test_readme_example():
