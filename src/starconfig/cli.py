@@ -23,8 +23,6 @@ report builder lives in its own module of starconfig.commands, imported when
 it runs, so a process compiles and builds only what its command needs.
 """
 
-from __future__ import annotations
-
 import importlib
 import io
 import os
@@ -38,8 +36,9 @@ def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        if sum(map(str.isdigit, text)) > 4300:  # past Python's int-from-str limit, and too long to echo
-            raise UsageError("has more than 4300 digits") from None
+        limit = getattr(sys, "get_int_max_str_digits", int)() or 4300  # its default when off (0) or before 3.10.7
+        if sum(map(str.isdigit, text)) > limit:  # past Python's int-from-str limit, and too long to echo
+            raise UsageError(f"has more than {limit} digits") from None
         raise UsageError(f"must be an integer, got {text!r}") from None
 
 

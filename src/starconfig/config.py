@@ -7,8 +7,6 @@ imports only errors and record, so code that needs (s, c) and these
 formulas loads no ideal arithmetic.
 """
 
-from __future__ import annotations
-
 from .errors import UsageError
 from .record import Record
 

@@ -11,8 +11,6 @@ Ratios are (numerator, denominator) pairs of ints in lowest terms, compared
 by cross-multiplication; no floating point appears in any decision path.
 """
 
-from __future__ import annotations
-
 from math import gcd
 
 from . import config
@@ -61,20 +59,22 @@ def _box_walk(s: int, c: int, ell: int):
 def decomp_verdicts(s: int, c: int, ell: int, s_cap: int = DECOMP_S_CAP, l_cap: int | None = None) -> tuple[bool, bool]:
     """(power decomposition holds, saturation identity holds), in one scan of threshold predicates.
 
-    With d = s-c+1 and M the irrelevant ideal, x^a lies in
-      - I^ell iff sum(min(a_i, ell)) >= ell*d (I is the squarefree Veronese
-        ideal of degree d; Herzog & Hibi, see symbolic_in_power);
-      - the symbolic intersection iff, for each j < s-c, the c+j smallest
-        a_i sum to >= (j+1)*ell (see star.symbolic_member);
-      - M^(d*ell) iff sum(a_i) >= d*ell;
-      - I^ell : M^inf iff x^a * x_i^N is in I^ell for every i and large N,
-        that is iff sum(min(a_i, ell)) - max_i min(a_i, ell) >= ell*(d-1).
-    Each of these ideals is symmetric and generated in the box [0, d*ell]^s:
-    I^ell has entries <= ell, the symbolic powers <= (s-c)*ell, intersections
-    take lcms, and J : M^inf is a finite intersection of colons J : x^b, each
-    generated by the g/gcd(g, x^b).  Ideals generated in the box are equal iff
-    they hold the same box monomials, so the predicates compared on the
-    C(d*ell+s, s) nondecreasing tuples of the box decide both identities.
+    Both identities hold for every (s, c, ell); the scan checks them.  Let
+    d = s-c+1, M be the irrelevant ideal and x_G the prime of the variables
+    in G ⊆ [s].  sum(min(a_i, ell)), the minimum over G of sum_{i in G} a_i +
+    ell*(s-|G|) (at G = {i : a_i < ell}), is >= ell*d iff x^a is in I^ell (I
+    is the squarefree Veronese ideal of degree d; Herzog & Hibi, see
+    symbolic_in_power).  So I^ell = ∩_{|G| >= c} (x_G)^(ell*(|G|-c+1)).  For
+    nondecreasing a, the terms with |G| = c+j hold x^a iff the c+j smallest
+    a_i sum to >= (j+1)*ell: for j < s-c they make the symbolic intersection
+    (star.symbolic_member), and G = [s] gives M^(d*ell).  Saturating by M
+    drops exactly that M-primary term.  The scan tests I^ell : M^inf directly:
+    x^a is in it iff x^a * x_i^N is in I^ell for every i and large N, that is
+    iff sum(min(a_i, ell)) - max_i min(a_i, ell) >= ell*(d-1).  Each ideal is
+    symmetric and generated in the box [0, d*ell]^s (I^ell's entries are <=
+    ell, the symbolic powers' <= (s-c)*ell, intersections take lcms, and
+    J : M^inf intersects colons J : x^b, generated by the g/gcd(g, x^b)), so
+    the predicates compared on the C(d*ell+s, s) sorted box tuples decide both.
 
     The ranges of (s, c) and ell are checked first, as usage errors.  The
     work is the C(d*ell+s, s) tuples, refused past the enum cap for every s

@@ -17,8 +17,8 @@ def check_cap(count: int, cap: int, what: str) -> None:
     """Refuse a count past its cap: `what` with the count in its `{}`, then `, cap is <cap>`.
 
     This is the only place that raises ResourceCapError.  A count of 2^64 or
-    more is worded `more than <cap>`: past Python's 4,300-digit int-to-str
-    limit it could not be printed at all.
+    more is worded `more than <cap>`: past Python's int-to-str limit (4,300
+    digits by default) it could not be printed at all.
     """
     if count > cap:
         shown = count if count < 1 << 64 else f"more than {cap}"

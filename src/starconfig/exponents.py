@@ -15,8 +15,6 @@ All values are immutable and all operations are pure.  Arity is checked at
 every binary operation; there is no implicit broadcasting.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable
 
 from .errors import UsageError

@@ -7,8 +7,7 @@ are equal.  The forms are exact coefficient tuples: Fractions, or ints for
 the coordinate hyperplanes, so the default export never imports fractions.
 """
 
-from __future__ import annotations
-
+import sys
 from itertools import combinations
 from math import comb
 
@@ -22,18 +21,19 @@ def coordinate_forms(s: int) -> list[tuple[int, ...]]:
 
 
 def _printable(coeff: str) -> str:
-    """The coefficient, refused as malformed when its digits and written exponent pass 4,300 digits.
+    """The coefficient, refused as malformed when its digits and written exponent pass Python's digit limit.
 
     The digits are the mantissa's, or those of a/b's longer part; with the
     exponent they bound the digits of the Fraction's numerator and
-    denominator.  That is Python's int-to-str limit, so the script could not
-    print them, and Fraction would build 10^exponent first.
+    denominator.  Past Python's int-to-str limit (taken as 4,300 when off), the
+    script could not print them, and Fraction would build 10^exponent first.
     """
+    limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
     mantissa, e, exponent = coeff.lower().partition("e")
     exponent = exponent.replace("_", "").lstrip("+-").lstrip("0")
-    shift = int(exponent[:5]) if e and exponent.isdigit() else 0  # five significant digits already pass 4,300
-    if max(sum(map(str.isdigit, part)) for part in mantissa.split("/")) + shift > 4300:
-        raise ValueError("more than 4300 digits")
+    shift = int(exponent[:len(str(limit)) + 1]) if e and exponent.isdigit() else 0  # one digit more passes the limit
+    if max(sum(map(str.isdigit, part)) for part in mantissa.split("/")) + shift > limit:
+        raise ValueError(f"more than {limit} digits")
     return coeff
 
 

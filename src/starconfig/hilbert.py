@@ -18,8 +18,6 @@ polynomial whose degree is bounded by the degree of the lcm of the
 generators.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import accumulate
 

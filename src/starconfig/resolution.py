@@ -9,8 +9,6 @@ and the symbolic power itself.  The closed-form resolution shapes live in
 starconfig.shapes, and hilbert.euler_check holds one against a built ideal.
 """
 
-from __future__ import annotations
-
 from .errors import TheoremViolation, UsageError, check_cap
 from .record import Record
 

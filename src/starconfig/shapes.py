@@ -11,8 +11,6 @@ recursion of `hilbert` nor the determinant code of `resolution`; `hilbert`
 takes its polynomial helpers and shape_numerator from here.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate
 from math import comb
 from operator import sub

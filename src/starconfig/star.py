@@ -11,8 +11,6 @@ Everything here is 0-based: variables and complex vertices are indexed
 alpha/omega closed forms are defined in config and re-exported here.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import Counter
 from functools import lru_cache

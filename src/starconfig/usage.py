@@ -1,7 +1,5 @@
 """The CLI's --help text, from the COMMANDS table and _flags that cli passes in; imported only for help."""
 
-from __future__ import annotations
-
 
 def usage(command: str | None, commands: dict, flags) -> str:
     """The help of one command (its flags), or with no command the list of commands."""

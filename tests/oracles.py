@@ -195,7 +195,7 @@ def _symbolic_intersection(s: int, c: int, ell: int) -> ex.MonomialIdeal:
 
 
 def rhs_decomposition(s: int, c: int, ell: int) -> ex.MonomialIdeal:
-    """The conjectured decomposition of the ell-th power of the skeleton ideal.
+    """The decomposition of the ell-th power of the skeleton ideal (proved in decomp.decomp_verdicts).
 
     Intersects the ((j+1)*ell)-th symbolic powers of the codimension-(c+j)
     skeletons for j = 0..N-c (N = s-1), then the (N-c+2)*ell-th power of the

@@ -540,6 +540,27 @@ def test_parse_errors(capsys, argv, reason):
             assert json.loads(err) == {"error": {"kind": "usage", "reason": reason}}
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        pytest.param(["skeleton", "--s", "9" * 700, "--c", "2"], "--s has more than 640 digits", id="skeleton --s 9*700"),
+        pytest.param(["export", "--s", "2", "--c", "1", "--ell", "1", "--target", "m2-syntax", "--forms", f"1,{'9' * 700};0,1"],
+                     f"malformed coefficient in '1,{'9' * 700}': more than 640 digits", id="export --forms 1,9*700;0,1"),
+        # a written exponent past the limit: Fraction would build 10^700, which the script could not print
+        pytest.param(["export", "--s", "2", "--c", "1", "--ell", "1", "--target", "m2-syntax", "--forms", "1e700,0;0,1"],
+                     "malformed coefficient in '1e700,0': more than 640 digits", id="export --forms 1e700,0;0,1"),
+    ],
+)
+def test_parse_errors_at_the_interpreter_digit_limit(capsys, argv, reason):
+    # the limit is read from the interpreter (PYTHONINTMAXSTRDIGITS, or sys.set_int_max_str_digits), not assumed
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        test_parse_errors(capsys, argv, reason)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_unwritable_output_is_usage_error(tmp_path, capsys, fmt):
     target = tmp_path / "missing" / "report.json"
@@ -726,7 +747,8 @@ REFUSALS = {
 # help is written by starconfig.usage alone: under -m the CLI module runs as __main__, and importing it
 # again as starconfig.cli would compile and run it twice
 HELP_CASES = ["--help"] + [f"{command} --help" for command in cli.COMMANDS]
-NEVER_LOADED = {"numpy", "dataclasses", "inspect", "argparse", "gettext", "locale", "csv"}
+# no starconfig module defers its annotations, so no process imports __future__
+NEVER_LOADED = {"numpy", "dataclasses", "inspect", "argparse", "gettext", "locale", "csv", "__future__"}
 # every argv of the benchmark, text runs of scan and skeleton (which the bench prints as JSON or csv) and
 # of hvector and hb at other sizes, the refusals as JSON error objects, and help
 MODULE_CASES = sorted({" ".join(case.argv) for cases in load_bench_workloads().WORKLOADS.values() for case in cases()} | {
