@@ -37,7 +37,7 @@ def _int(text: str) -> int:
         return int(text)
     except ValueError:
         limit = getattr(sys, "get_int_max_str_digits", int)() or 4300  # its default when off (0) or before 3.10.7
-        if sum(map(str.isdigit, text)) > limit:  # past Python's int-from-str limit, and too long to echo
+        if sum(map(str.isdigit, text)) > limit:  # past the limit, as export._printable reads it, and too long to echo
             raise UsageError(f"has more than {limit} digits") from None
         raise UsageError(f"must be an integer, got {text!r}") from None
 

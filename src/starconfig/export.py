@@ -21,17 +21,17 @@ def coordinate_forms(s: int) -> list[tuple[int, ...]]:
 
 
 def _printable(coeff: str) -> str:
-    """The coefficient, refused as malformed when its digits and written exponent pass Python's digit limit.
+    """The coefficient, refused as malformed when its digits and written exponent pass the digit bound.
 
     The digits are the mantissa's, or those of a/b's longer part; with the
-    exponent they bound the digits of the Fraction's numerator and
-    denominator.  Past Python's int-to-str limit (taken as 4,300 when off), the
-    script could not print them, and Fraction would build 10^exponent first.
+    exponent they bound the Fraction's numerator and denominator.  The bound,
+    Python's int-to-str limit as cli._int reads it but never above its default
+    4,300, keeps them printable and Fraction from building a huge 10^exponent.
     """
-    limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
+    limit = min(getattr(sys, "get_int_max_str_digits", int)() or 4300, 4300)
     mantissa, e, exponent = coeff.lower().partition("e")
     exponent = exponent.replace("_", "").lstrip("+-").lstrip("0")
-    shift = int(exponent[:len(str(limit)) + 1]) if e and exponent.isdigit() else 0  # one digit more passes the limit
+    shift = int(exponent[:5]) if e and exponent.isdigit() else 0  # five significant digits already pass 4,300
     if max(sum(map(str.isdigit, part)) for part in mantissa.split("/")) + shift > limit:
         raise ValueError(f"more than {limit} digits")
     return coeff

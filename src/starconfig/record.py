@@ -25,7 +25,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = tuple(cls.__annotations__)  # not __dict__: 3.14 builds it only when read
 
     def __init__(self, *args):
         if len(args) != len(self._fields):

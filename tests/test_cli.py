@@ -541,20 +541,26 @@ def test_parse_errors(capsys, argv, reason):
 
 
 @pytest.mark.parametrize(
-    "argv, reason",
+    "argv, reason, limit",
     [
-        pytest.param(["skeleton", "--s", "9" * 700, "--c", "2"], "--s has more than 640 digits", id="skeleton --s 9*700"),
+        pytest.param(["skeleton", "--s", "9" * 700, "--c", "2"], "--s has more than 640 digits", 640, id="skeleton --s 9*700"),
         pytest.param(["export", "--s", "2", "--c", "1", "--ell", "1", "--target", "m2-syntax", "--forms", f"1,{'9' * 700};0,1"],
-                     f"malformed coefficient in '1,{'9' * 700}': more than 640 digits", id="export --forms 1,9*700;0,1"),
+                     f"malformed coefficient in '1,{'9' * 700}': more than 640 digits", 640, id="export --forms 1,9*700;0,1"),
         # a written exponent past the limit: Fraction would build 10^700, which the script could not print
         pytest.param(["export", "--s", "2", "--c", "1", "--ell", "1", "--target", "m2-syntax", "--forms", "1e700,0;0,1"],
-                     "malformed coefficient in '1e700,0': more than 640 digits", id="export --forms 1e700,0;0,1"),
+                     "malformed coefficient in '1e700,0': more than 640 digits", 640, id="export --forms 1e700,0;0,1"),
+        # a raised or disabled limit leaves a coefficient's bound at 4300: 10^99999999 would take hours to print
+        pytest.param(["export", "--s", "2", "--c", "1", "--ell", "1", "--target", "m2-syntax", "--forms", "1e99999999,0;0,1"],
+                     "malformed coefficient in '1e99999999,0': more than 4300 digits", 10**8,
+                     id="export --forms 1e99999999,0;0,1 at limit 10^8"),
+        pytest.param(["export", "--s", "2", "--c", "1", "--ell", "1", "--target", "m2-syntax", "--forms", "1e5000,0;0,1"],
+                     "malformed coefficient in '1e5000,0': more than 4300 digits", 0, id="export --forms 1e5000,0;0,1 at limit 0"),
     ],
 )
-def test_parse_errors_at_the_interpreter_digit_limit(capsys, argv, reason):
+def test_parse_errors_at_the_interpreter_digit_limit(capsys, argv, reason, limit):
     # the limit is read from the interpreter (PYTHONINTMAXSTRDIGITS, or sys.set_int_max_str_digits), not assumed
     previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
+    sys.set_int_max_str_digits(limit)
     try:
         test_parse_errors(capsys, argv, reason)
     finally:

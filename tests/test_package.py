@@ -67,6 +67,21 @@ def test_record_semantics(cls, fields, other, invalid, text):
             cls(*invalid)
 
 
+def test_record_fields_are_read_through_the_annotations_attribute():
+    # since 3.14 (PEP 649) a class namespace holds no __annotations__ dict: the class builds it when it is read.
+    # A metaclass property stands in for that here, so the fields must not be looked up in the class __dict__
+    class Lazy(type):
+        @property
+        def __annotations__(cls):
+            return {"x": int, "y": int}
+
+    class Point(Record, metaclass=Lazy):
+        pass
+
+    assert "__annotations__" not in Point.__dict__
+    assert Point._fields == ("x", "y") and Point(1, 2).y == 2
+
+
 def test_export_lists_name_what_their_modules_define():
     for module_name, names in sc._EXPORTS.items():
         module = importlib.import_module(f"starconfig.{module_name}")
