@@ -20,7 +20,6 @@ _EXPORTS = {
     "exponents": (
         "MonomialIdeal",
         "alpha",
-        "colon",
         "equals",
         "minimalize",
         "multiply",

@@ -121,13 +121,6 @@ def power(ideal: MonomialIdeal, ell: int) -> MonomialIdeal:
     return result
 
 
-def colon(ideal: MonomialIdeal, mu: Exponent) -> MonomialIdeal:
-    """The colon ideal (I : mu) for a single monomial mu."""
-    _check_exponent(mu, ideal.arity)
-    quots = {tuple(max(x - y, 0) for x, y in zip(g, mu)) for g in ideal.gens}
-    return minimalize(ideal.arity, quots)
-
-
 def equals(a: MonomialIdeal, b: MonomialIdeal) -> bool:
     """Ideal equality; canonical storage makes this generator-list comparison."""
     _check_same_arity(a, b)
@@ -152,7 +145,6 @@ __all__ = [
     "Exponent",
     "MonomialIdeal",
     "alpha",
-    "colon",
     "equals",
     "grlex_key",
     "minimalize",

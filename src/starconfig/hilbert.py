@@ -7,12 +7,12 @@ classical pivot recursion
 
     K(I) = K(I + (x_i)) + t * K(I : x_i)
 
-with coprime generator blocks split multiplicatively.  For the skeleton
-ideals and their symbolic powers the h-polynomial K(t)/(1-t)^c has a closed
-form (starconfig.shapes.symbolic_h_vector) that builds no ideal; the
-recursion stays the oracle it is tested against, and runs h_vector,
-bdg_hf_check and euler_check (a closed-form resolution shape against the
-numerator) on built ideals.
+with coprime generator blocks split multiplicatively, and both children
+read off the pivot's generators.  For the skeleton ideals and their
+symbolic powers the h-polynomial K(t)/(1-t)^c has a closed form
+(starconfig.shapes.symbolic_h_vector) that builds no ideal; the recursion
+stays the oracle it is tested against, and runs h_vector, bdg_hf_check and
+euler_check (a closed-form resolution shape against the numerator).
 All arithmetic is exact integer arithmetic; the numerator is a finite
 polynomial whose degree is bounded by the degree of the lcm of the
 generators.
@@ -58,12 +58,14 @@ def _numerator(ideal: ex.MonomialIdeal) -> tuple[int, ...]:
             result = _poly_mul(result, _numerator(ex.MonomialIdeal(s, block)))
         return result
     # pivot on the variable hitting the most generators
-    counts = [sum(1 for g in gens if g[i] > 0) for i in range(s)]
-    pivot = counts.index(max(counts))
-    e = [0] * s
-    e[pivot] = 1
-    added = ex.minimalize(s, gens + (tuple(e),))
-    quotient = ex.colon(ideal, tuple(e))
+    p = max(range(s), key=lambda i: sum(1 for g in gens if g[i]))
+    untouched = [h for h in gens if not h[p]]
+    lowered = [g[:p] + (g[p] - 1,) + g[p + 1:] for g in gens if g[p]]
+    # minimal as listed: two lowered gens dividing each other would give g | f, an untouched h dividing a lowered g
+    # would divide g, and a lowered g divides an untouched h only when g_p was 1, which `kept` drops
+    kept = [h for h in untouched if not any(all(x <= y for x, y in zip(g, h)) for g in lowered if not g[p])]
+    added = ex.MonomialIdeal(s, tuple(sorted(untouched + [tuple(int(i == p) for i in range(s))], key=ex.grlex_key)))
+    quotient = ex.MonomialIdeal(s, tuple(sorted(lowered + kept, key=ex.grlex_key)))
     return _poly_add(_numerator(added), _numerator(quotient), 1)
 
 

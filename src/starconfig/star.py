@@ -214,11 +214,14 @@ def stanley_reisner_ideal(complex_: SimplicialComplex) -> ex.MonomialIdeal:
 
 
 def check_wk(s: int, ell: int) -> None:
-    """Refuse s < 3 or ell < 1 as usage errors, and an s whose W_k chain checks pass the enum cap."""
+    """Refuse s < 3 or ell < 1 as usage errors, and an s whose W_k chain checks pass the enum cap.
+
+    The cap bounds the wk command's Hilbert numerator recursion on each built W_k (bdg_hf_check,
+    h_vector), which has no cap of its own; wk_ideal needs none, as symbolic_power's cap bounds it.
+    """
     check_codim2(s)
     check_ell(ell)
-    # the chain checks run the Hilbert numerator recursion on W_k, which has no cap of its own.  Past 64
-    # factors the power is at least 4^64 > 2^64, past the cap and worded `more than`, so no huge power is computed
+    # past 64 factors the power is at least 4^64 > 2^64, so it reads `more than` and no huge power is computed
     check_cap((ell + 3) ** min(s, 64), DEFAULT_ENUM_CAP, "W_k chain checks scale with (ell+3)^s = {}")
 
 
@@ -232,13 +235,16 @@ def wk_ideal(s: int, ell: int, k: int) -> ex.MonomialIdeal:
     I^(ell).  If b_i is, then i < k and x^a is a multiple of F_i: exponent 0
     at i, ell+2 at the other variables below k and ell+1 from k on.  Each F_i
     meets every pair's bound, so W_k = x_0...x_{k-1} I^(ell) + (F_0, ..., F_{k-1}).
+    These generators are minimal: a shift keeps I^(ell)'s antichain, F_j is ell+2 where F_i is 0, and a shifted g
+    (I^(ell)'s minimal entries are at most ell) has g_i >= 1 > F_i(i) but g_v <= ell + [v<k] < F_i(v) at v != i.
     """
-    check_wk(s, ell)
+    check_codim2(s)
+    check_ell(ell)
     if not 0 <= k <= s:
         raise UsageError(f"need 0 <= k <= s, got k={k}")
     shifted = [tuple(x + (v < k) for v, x in enumerate(g)) for g in symbolic_power(StarConfig(s, 2), ell).gens]
     corners = [tuple(0 if v == i else ell + 1 + (v < k) for v in range(s)) for i in range(k)]
-    return ex.minimalize(s, shifted + corners)
+    return ex.MonomialIdeal(s, tuple(sorted(shifted + corners, key=ex.grlex_key)))
 
 
 def wk_degree(s: int, ell: int, k: int) -> int:

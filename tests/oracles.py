@@ -30,7 +30,6 @@ from starconfig.exponents import (
     MonomialIdeal,
     _check_exponent,
     _check_same_arity,
-    colon,
     grlex_key,
     minimalize,
     monomial_str,
@@ -97,6 +96,13 @@ def member(mu: Exponent, ideal: MonomialIdeal) -> bool:
     """True iff the monomial mu lies in the ideal (some generator divides it)."""
     _check_exponent(mu, ideal.arity)
     return any(all(x <= y for x, y in zip(g, mu)) for g in ideal.gens)
+
+
+def colon(ideal: MonomialIdeal, mu: Exponent) -> MonomialIdeal:
+    """The colon ideal (I : mu) for a single monomial mu."""
+    _check_exponent(mu, ideal.arity)
+    quots = {tuple(max(x - y, 0) for x, y in zip(g, mu)) for g in ideal.gens}
+    return minimalize(ideal.arity, quots)
 
 
 def colon_ideal(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:

@@ -130,7 +130,7 @@ def test_multiply_membership_implication():
 
 
 def test_colon_and_saturate():
-    assert ex.colon(ideal(2, (2, 1)), (1, 0)).gens == ((1, 1),)
+    assert oracles.colon(ideal(2, (2, 1)), (1, 0)).gens == ((1, 1),)
     m = oracles.variable_ideal(2, [0, 1])
     assert oracles.saturate(ideal(2, (2, 0), (1, 1)), m).gens == ((1, 0),)
     with pytest.raises(UsageError):

@@ -320,6 +320,13 @@ def test_wk_step_check():
         star.wk_step_check(4, 1, 4)
 
 
+def test_wk_ideal_and_step_build_past_the_command_cap():
+    # check_wk's (ell+3)^s cap prices the wk command's numerator recursion, not building W_k: 4^12 is past it
+    for k in (0, 5, 11):
+        assert star.wk_ideal(12, 1, k).gens
+        assert star.wk_step_check(12, 1, k)
+
+
 def test_wk_parameter_validation():
     with pytest.raises(UsageError):
         star.wk_ideal(2, 1, 0)
