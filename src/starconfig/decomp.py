@@ -21,7 +21,7 @@ from .record import Record
 # default caps on the power exponent r, by s (3 past the table), overridable per call.
 DEFAULT_R_CAPS = {2: 10, 3: 10, 4: 8, 5: 5}
 
-# The decomposition check's work is its tuple count, bounded by the enum cap.  This cap on s guards no
+# The decomposition check's work is bounded by its tuple count, refused past the enum cap.  This cap on s guards no
 # work: it stays only because the benchmark expects `decomp --s 6 --c 2 --ell 2` to be refused.
 DECOMP_S_CAP = 5
 
@@ -29,37 +29,38 @@ DECOMP_S_CAP = 5
 SCAN_CELL_CAP = 100_000
 
 
-def _box_walk(s: int, c: int, ell: int):
-    """The four predicates of decomp_verdicts for each nondecreasing tuple of the box [0, d*ell]^s.
+def _sweep(s: int, c: int, ell: int, frontier: set[tuple[int, int, int, bool]]) -> tuple[bool, bool]:
+    """decomp_verdicts' two verdicts over the sorted tuples of [0, d*ell]^s that extend frontier's states.
 
-    Yields (in I^ell, in the symbolic intersection, in M^(d*ell), in
-    I^ell : M^inf) per tuple, the tuples in combinations_with_replacement
-    order.  A depth-first walk that carries the prefix sum, the capped sum and
-    the intersection's prefix test, so a tuple costs O(1) rather than O(s).
+    A state (low, total, capped, ok) is a sorted prefix's last entry, sum, sum of min(a_i, ell) and
+    intersection flag; frontier holds states before position 0.  Positions 0..s-2 keep the distinct states,
+    both sums capped at top = d*ell.  This is exact: every threshold compared is at most top, so capping
+    changes no comparison, prefixes with one state get the same verdicts on every completion, and the AND
+    over all tuples is the AND over the final states.  The last entry v in [low, top] is decided in O(1):
+    x^a is in I^ell iff v >= a, a = top - capped if that is <= ell, else top+1, and in the right-hand side
+    iff ok and v >= b = top - total (b = top+1 if not ok), so the power verdict holds iff max(a, low) ==
+    max(b, low).  The saturation verdict reads no v: capped >= top - ell must equal ok.  A transition at
+    position i is witnessed by a distinct sorted prefix of length i+1: no more work than the tuple walk.
     """
-    d = s - c + 1
-    top = d * ell  # the box's largest entry, and the threshold of I^ell and of M^(d*ell)
-
-    def walk(k: int, low: int, total: int, capped: int, prefix_ok: bool):
-        # entries 0..k-1 are chosen, the last of them low; total and capped are their sums
-        if k == s - 1:  # the last entry v moves only the first and third predicates, both monotone in v
-            in_power_from = top - capped if top - capped <= ell else top + 1  # capped + min(v, ell) >= top
-            in_m_from, saturated = top - total, capped >= top - ell
-            for v in range(low, top + 1):
-                yield v >= in_power_from, prefix_ok, v >= in_m_from, saturated
-            return
-        for v in range(low, top + 1):
-            # entry k closes the prefix test of the c+j smallest entries, j = k-c+1, when 0 <= j < d-1
-            ok = prefix_ok and (k < c - 1 or total + v >= (k - c + 2) * ell)
-            yield from walk(k + 1, v, total + v, capped + min(v, ell), ok)
-
-    return walk(0, 0, 0, 0, True)
+    top = (s - c + 1) * ell
+    for k in range(s - 1):
+        # entry k closes the prefix test of the c+j smallest entries, j = k-c+1; a j < 0 needs a sum >= 0
+        frontier = {
+            (v, min(total + v, top), min(capped + min(v, ell), top), ok and total + v >= (k - c + 2) * ell)
+            for low, total, capped, ok in frontier
+            for v in range(low, top + 1)
+        }
+    power_ok = all(
+        max(top - capped if top - capped <= ell else top + 1, low) == max(top - total if ok else top + 1, low)
+        for low, total, capped, ok in frontier
+    )
+    return power_ok, all((capped >= top - ell) == ok for _, _, capped, ok in frontier)
 
 
 def decomp_verdicts(s: int, c: int, ell: int, s_cap: int = DECOMP_S_CAP, l_cap: int | None = None) -> tuple[bool, bool]:
-    """(power decomposition holds, saturation identity holds), in one scan of threshold predicates.
+    """(power decomposition holds, saturation identity holds), from one sweep over distinct prefix states.
 
-    Both identities hold for every (s, c, ell); the scan checks them.  Let
+    Both identities hold for every (s, c, ell); the sweep checks them.  Let
     d = s-c+1, M be the irrelevant ideal and x_G the prime of the variables
     in G ⊆ [s].  sum(min(a_i, ell)), the minimum over G of sum_{i in G} a_i +
     ell*(s-|G|) (at G = {i : a_i < ell}), is >= ell*d iff x^a is in I^ell (I
@@ -68,7 +69,7 @@ def decomp_verdicts(s: int, c: int, ell: int, s_cap: int = DECOMP_S_CAP, l_cap: 
     nondecreasing a, the terms with |G| = c+j hold x^a iff the c+j smallest
     a_i sum to >= (j+1)*ell: for j < s-c they make the symbolic intersection
     (star.symbolic_member), and G = [s] gives M^(d*ell).  Saturating by M
-    drops exactly that M-primary term.  The scan tests I^ell : M^inf directly:
+    drops exactly that M-primary term.  The sweep tests I^ell : M^inf directly:
     x^a is in it iff x^a * x_i^N is in I^ell for every i and large N, that is
     iff sum(min(a_i, ell)) - max_i min(a_i, ell) >= ell*(d-1).  Each ideal is
     symmetric and generated in the box [0, d*ell]^s (I^ell's entries are <=
@@ -77,22 +78,19 @@ def decomp_verdicts(s: int, c: int, ell: int, s_cap: int = DECOMP_S_CAP, l_cap: 
     the predicates compared on the C(d*ell+s, s) sorted box tuples decide both.
 
     The ranges of (s, c) and ell are checked first, as usage errors.  The
-    work is the C(d*ell+s, s) tuples, refused past the enum cap for every s
-    and ell.  s_cap guards no work and stays only for the benchmark (see
-    DECOMP_S_CAP); l_cap, None for no cap, refuses a larger ell.
+    C(d*ell+s, s) tuples bound _sweep's work and are refused past the enum
+    cap.  s_cap guards no work and stays only for the benchmark (see
+    DECOMP_S_CAP); it and l_cap, None for no cap, refuse a larger s and ell.
     """
     config.StarConfig(s, c)
     config.check_ell(ell)
-    check_cap(s, s_cap, "decomposition check runs on {} variables")
+    if s_cap is not None:
+        check_cap(s, s_cap, "decomposition check runs on {} variables")
     if l_cap is not None:
         check_cap(ell, l_cap, "decomposition check's power exponent ell is {}")
     cap = config.DEFAULT_ENUM_CAP
     check_cap(config.comb_past((s - c + 1) * ell + s, s, cap), cap, "decomposition check scans {} exponent tuples")
-    power_ok = sat_ok = True
-    for in_power, in_intersection, in_m, in_saturation in _box_walk(s, c, ell):
-        power_ok = power_ok and in_power == (in_intersection and in_m)
-        sat_ok = sat_ok and in_saturation == in_intersection
-    return power_ok, sat_ok
+    return _sweep(s, c, ell, {(0, 0, 0, True)})
 
 
 def verify_power_decomposition(s: int, c: int, ell: int, s_cap: int = DECOMP_S_CAP, l_cap: int | None = None) -> bool:

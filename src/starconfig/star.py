@@ -260,18 +260,19 @@ def wk_link_monomial(s: int, ell: int, k: int) -> ex.Exponent:
 def wk_step_check(s: int, ell: int, k: int, current=None, nxt=None) -> bool:
     """Verify one basic-double-link step of the W chain.
 
-    Checks, as monomial-ideal equality, that W_{k+1} is generated by x_k * W_k
-    together with the single hypersurface monomial.  Pass W_k and W_{k+1} as
-    current and nxt when they are already built; otherwise they are.  The
-    degree step of wk_degree holds by algebra alone, so it is not checked here:
-    the wk command checks wk_degree against the h-vector of each built W_k.
+    Checks that W_{k+1}'s generators are those of x_k * W_k and the hypersurface monomial F_k, in grlex
+    order.  That decides the ideal equality: x_k times a shifted I^(ell) generator of W_k is W_{k+1}'s,
+    x_k * F_i for i < k is W_{k+1}'s F_i (its exponent at k goes from ell+1 to ell+2), the link monomial
+    is W_{k+1}'s F_k, and both lists are minimal by wk_ideal's proof.  Pass W_k and W_{k+1} as current
+    and nxt when they are already built; otherwise they are.  The degree step of wk_degree holds by
+    algebra alone, so it is not checked here: the wk command checks it against each built W_k's h-vector.
     """
     if not 0 <= k < s:
         raise UsageError(f"need 0 <= k < s, got k={k}")
     current = wk_ideal(s, ell, k) if current is None else current
     nxt = wk_ideal(s, ell, k + 1) if nxt is None else nxt
     shifted = [tuple(x + (v == k) for v, x in enumerate(g)) for g in current.gens]
-    return ex.equals(nxt, ex.minimalize(s, shifted + [wk_link_monomial(s, ell, k)]))
+    return nxt.gens == tuple(sorted(shifted + [wk_link_monomial(s, ell, k)], key=ex.grlex_key))
 
 
 __all__ = [

@@ -5,10 +5,11 @@ theorem in `starconfig` replaced: divisibility and membership scans, colon
 ideals and saturation, degree truncation, the built right-hand side of the
 power decomposition, the symbolic power and the W_k chain as intersections
 of prime powers, the Hilbert function from the pivot recursion, the
-per-tuple box predicates that the decomposition walk carries, the
-intersection and sum constructors, the sparse polynomials and their
-cofactor expansion that the unique-matching minors replaced, and the
-2x2-minor test for proportional linear forms.  No command reaches them; the
+per-tuple box predicates of the decomposition check and a brute force
+over the completions of its sweep's states, the intersection and sum
+constructors, the sparse polynomials and their cofactor expansion that the
+unique-matching minors replaced, and the 2x2-minor test for proportional
+linear forms.  No command reaches them; the
 tests compare the library against them.  en_rank, the skeleton's
 Eagon-Northcott ranks, is a closed form that only the tests call.
 """
@@ -19,7 +20,7 @@ import itertools
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb
 
 from starconfig import config, exponents as ex, star
@@ -223,6 +224,40 @@ def box_memberships(a: tuple[int, ...], c: int, ell: int) -> tuple[bool, bool, b
         prefix[-1] >= ell * d,
         sum(capped) - capped[-1] >= ell * (d - 1),
     )
+
+
+def completion_memberships(s: int, c: int, ell: int, state: tuple[int, int, int, bool]):
+    """box_memberships for each nondecreasing completion of a frontier state of decomp._sweep (fold with verdicts).
+
+    The state (low, total, capped, ok) stands before position 0: the completions are the tuples of
+    [low, d*ell]^s in combinations_with_replacement order, total and capped are added to their uncapped
+    sums, and ok joins the intersection's prefix tests.  At (0, 0, 0, True) this is box_memberships on the box.
+    """
+    low, total, capped, ok = state
+    d = s - c + 1
+    for a in combinations_with_replacement(range(low, d * ell + 1), s):
+        mins = [min(e, ell) for e in a]
+        held = capped + sum(mins)
+        prefix = list(accumulate(a, initial=total))  # prefix[i]: total plus the first i entries
+        yield (
+            held >= ell * d,
+            ok and all(prefix[c + j] >= (j + 1) * ell for j in range(d - 1)),
+            prefix[-1] >= ell * d,
+            held - mins[-1] >= ell * (d - 1),
+        )
+
+
+def verdicts(memberships) -> tuple[bool, bool]:
+    """decomp_verdicts' two verdicts from per-tuple memberships, vacuously true when there are none.
+
+    The power verdict: in I^ell iff in the intersection and in M^(d*ell).  The saturation verdict: in
+    I^ell : M^inf iff in the intersection.  Each must hold on every tuple.
+    """
+    power_ok = sat_ok = True
+    for in_power, in_intersection, in_m, in_saturation in memberships:
+        power_ok = power_ok and in_power == (in_intersection and in_m)
+        sat_ok = sat_ok and in_saturation == in_intersection
+    return power_ok, sat_ok
 
 
 # --- symbolic powers and complexes (from starconfig.star) ---

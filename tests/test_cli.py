@@ -138,6 +138,12 @@ def test_decomp_command(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["power_decomposition"] and report["saturation_identity"]
+    # 406,351 tuples, but with d*ell = 2 the sweep keeps at most 54 prefix states per position
+    start = time.monotonic()
+    code, out, _ = run(capsys, ["decomp", "--s", "900", "--c", "899", "--ell", "1", "--s-cap", "900", "--format", "json"])
+    report = json.loads(out)
+    assert code == 0 and report["power_decomposition"] and report["saturation_identity"]
+    assert time.monotonic() - start < 5
 
 
 def test_containment_command(capsys):

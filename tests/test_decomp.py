@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import ceil, comb, floor, gcd
 
 import pytest
@@ -96,13 +96,47 @@ def test_box_memberships_match_built_ideals(data):
     assert oracles.box_memberships(a, c, ell) == tuple(oracles.member(a, ideal) for ideal in built)
 
 
-def test_box_walk_matches_the_scan():
-    # every s <= 6, c and ell <= 3, ell 4 and 5 for s <= 4, and (7, 3, 3): the same predicates in
-    # combinations_with_replacement order
+def test_verdicts_match_the_box_scan():
+    # every s <= 6, c and ell <= 3, ell 4 and 5 for s <= 4, and (7, 3, 3): from decomp_verdicts' start state (no
+    # entry chosen, every test open) the completion oracle lists box_memberships, and the sweep gives their verdicts
     cases = [(s, c, ell) for s in range(2, 7) for c in range(1, s) for ell in range(1, 6 if s <= 4 else 4)]
     for s, c, ell in cases + [(7, 3, 3)]:
         box = combinations_with_replacement(range((s - c + 1) * ell + 1), s)
-        assert list(decomp._box_walk(s, c, ell)) == [oracles.box_memberships(a, c, ell) for a in box], (s, c, ell)
+        memberships = list(oracles.completion_memberships(s, c, ell, (0, 0, 0, True)))
+        assert memberships == [oracles.box_memberships(a, c, ell) for a in box], (s, c, ell)
+        assert decomp.decomp_verdicts(s, c, ell, s_cap=None) == oracles.verdicts(memberships) == (True, True), (s, c, ell)
+
+
+@st.composite
+def frontiers(draw):
+    """(s, c, ell, frontier): one to three states, nonnegative, most of them reached by no sorted prefix."""
+    s = draw(st.integers(2, 6))
+    c = draw(st.integers(1, s - 1))
+    ell = draw(st.integers(1, 3))
+    top = (s - c + 1) * ell
+    low_min = next(low for low in range(top + 2) if comb(top - low + s, s) <= 3000)  # keeps the oracle small
+    state = st.tuples(st.integers(low_min, top + 1), st.integers(0, top + 2), st.integers(0, top + 2), st.booleans())
+    return s, c, ell, draw(st.sets(state, min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(frontiers())
+def test_sweep_matches_the_completion_oracle(case):
+    s, c, ell, frontier = case
+    per_state = [oracles.verdicts(oracles.completion_memberships(s, c, ell, state)) for state in frontier]
+    assert decomp._sweep(s, c, ell, frontier) == (all(p for p, _ in per_state), all(q for _, q in per_state))
+
+
+def test_sweep_on_fixed_frontiers():
+    # a false flag at the start makes every identity fail; a start past the box leaves nothing to check
+    assert decomp._sweep(4, 2, 2, {(0, 0, 0, False)}) == (False, False)
+    assert decomp._sweep(4, 2, 2, {(7, 0, 0, False)}) == (True, True)
+    assert decomp._sweep(4, 2, 2, {(0, 0, 0, True), (0, 0, 0, False)}) == (False, False)
+    # every one-state frontier of (4, 2, 1) against the oracle: both verdicts take both values
+    states = list(product(range(5), range(5), range(5), (False, True)))
+    verdicts = [decomp._sweep(4, 2, 1, {state}) for state in states]
+    assert verdicts == [oracles.verdicts(oracles.completion_memberships(4, 2, 1, state)) for state in states]
+    assert {p for p, _ in verdicts} == {q for _, q in verdicts} == {False, True}
 
 
 def test_decomp_refuses_a_scan_past_the_enum_cap():
@@ -116,8 +150,9 @@ def test_decomp_refuses_a_scan_past_the_enum_cap():
 def test_decomp_refuses_s_before_ell():
     with pytest.raises(ResourceCapError, match="runs on 6 variables, cap is 5$"):
         decomp.decomp_verdicts(6, 2, 4)
-    # no cap on ell by default: the tuple count bounds the scan
-    assert decomp.decomp_verdicts(5, 2, 4) == (True, True)
+    assert decomp.decomp_verdicts(6, 2, 2, s_cap=None) == (True, True)  # None is no cap, as for l_cap
+    # no cap on ell by default: the tuple count bounds the sweep; (5, 2, 13) scans 4,187,106 tuples, the most at s = 5
+    assert decomp.decomp_verdicts(5, 2, 4) == decomp.decomp_verdicts(5, 2, 13) == (True, True)
     with pytest.raises(ResourceCapError, match="ell is 4, cap is 3$"):
         decomp.decomp_verdicts(5, 2, 4, l_cap=3)
 

@@ -1,6 +1,7 @@
 """Skeletons, symbolic powers, the complex, and the basic-double-link chain."""
 
 import itertools
+import time
 from math import comb
 
 import pytest
@@ -316,6 +317,12 @@ def test_wk_degree_closed_form():
 def test_wk_step_check():
     assert star.wk_step_check(4, 1, 0)
     assert star.wk_step_check(5, 2, 3)
+    assert not star.wk_step_check(5, 2, 1, nxt=star.wk_ideal(5, 2, 3))  # W_{k+2} is not the next link
+    # 1,502 generators: comparing sorted lists, not minimalizing them, keeps this well under a second
+    current, nxt = star.wk_ideal(3, 1000, 1), star.wk_ideal(3, 1000, 2)
+    start = time.perf_counter()
+    assert star.wk_step_check(3, 1000, 1, current, nxt)
+    assert time.perf_counter() - start < 0.5
     with pytest.raises(UsageError):
         star.wk_step_check(4, 1, 4)
 
