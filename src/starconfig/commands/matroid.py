@@ -1,10 +1,10 @@
 """The `matroid` command: the matroid property of the skeleton complex and the Stanley-Reisner check."""
 
-from .. import exponents as ex, star
+from .. import config, exponents as ex, star
 
 
 def run(args) -> tuple[dict, int]:
-    cfg = star.StarConfig(args.s, args.c)
+    cfg = config.StarConfig(args.s, args.c)
     complex_ = star.skeleton_complex(cfg)
     matroid_ok = star.is_matroid(complex_)
     sr_ok = ex.equals(star.stanley_reisner_ideal(complex_), star.skeleton_ideal(cfg))

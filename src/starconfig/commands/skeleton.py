@@ -3,12 +3,12 @@
 At ell = 1 the closed-form h-vector is the paper's generic one, so h_vector_matches_generic restates it.
 """
 
-from .. import exponents as ex, shapes, star
+from .. import config, exponents as ex, shapes, star
 from . import ideal_summary
 
 
 def run(args) -> tuple[dict, int]:
-    cfg = star.StarConfig(args.s, args.c)
+    cfg = config.StarConfig(args.s, args.c)
     # first, so that the closed form's work check refuses a huge skeleton before it is built
     hv = shapes.symbolic_h_vector(cfg, 1, d_cap=args.degree_cap)
     ideal = star.skeleton_ideal(cfg)

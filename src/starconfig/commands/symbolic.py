@@ -1,18 +1,18 @@
 """The `symbolic` command: a symbolic power's generators and alpha/omega against their closed forms."""
 
-from .. import exponents as ex, star
+from .. import config, exponents as ex, star
 from . import ideal_summary
 
 MAX_LISTED = 64  # generators are listed only up to this count
 
 
 def run(args) -> tuple[dict, int]:
-    cfg = star.StarConfig(args.s, args.c)
-    cap = star.DEFAULT_ENUM_CAP if args.enum_cap is None else args.enum_cap
+    cfg = config.StarConfig(args.s, args.c)
+    cap = config.DEFAULT_ENUM_CAP if args.enum_cap is None else args.enum_cap
     ideal = star.symbolic_power(cfg, args.ell, enum_cap=cap)
     a, o = ex.alpha(ideal), ex.omega(ideal)
-    a_formula = star.alpha_symbolic_formula(cfg, args.ell)
-    o_formula = star.omega_symbolic_formula(cfg, args.ell)
+    a_formula = config.alpha_symbolic_formula(cfg, args.ell)
+    o_formula = config.omega_symbolic_formula(cfg, args.ell)
     report = {
         "params": {"s": args.s, "c": args.c, "ell": args.ell},
         "caps": {"enum_cap": cap},

@@ -1,10 +1,10 @@
 """The skeleton's parameters and the closed forms that need nothing else.
 
 StarConfig, the exponent and codimension-2 checks, the default enumeration
-cap, the alpha and omega formulas of the symbolic powers, which star
-re-exports, and comb_past, the binomial the refusals compare with a cap.  This module
-imports only errors and record, so code that needs (s, c) and these
-formulas loads no ideal arithmetic.
+cap, the alpha and omega formulas of the symbolic powers, and comb_past, the
+binomial the refusals compare with a cap; callers import each from here.
+This module imports only errors and record, so code that needs (s, c) and
+these formulas loads no ideal arithmetic.
 """
 
 from .errors import UsageError

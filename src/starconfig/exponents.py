@@ -6,26 +6,23 @@ entries (always recomputed, never cached).
 
   Exponent = tuple[int, ...]        x0^2*x1  in 3 variables  ->  (2, 1, 0)
 
-A MonomialIdeal is an arity plus the minimal generating antichain, stored in
-graded-lexicographic order (degree ascending, then x0 > x1 > ... within a
-degree) so that equality of ideals is equality of generator tuples.  The zero
-ideal has no generators; the unit ideal has the single all-zeros generator.
+A MonomialIdeal is an arity plus the minimal generating antichain, which the
+constructor puts in graded-lexicographic order (degree ascending, then
+x0 > x1 > ... within a degree) so that equality of ideals is equality of
+generator tuples.  The zero ideal has no generators; the unit ideal has the
+single all-zeros generator.
 
 All values are immutable and all operations are pure.  Arity is checked at
 every binary operation; there is no implicit broadcasting.
 """
 
 from collections.abc import Iterable
+from operator import le
 
 from .errors import UsageError
 from .record import Record
 
 Exponent = tuple[int, ...]
-
-
-def grlex_key(t: Exponent) -> tuple:
-    """Sort key for the graded-lexicographic order with x0 largest."""
-    return (sum(t), tuple(-e for e in t))
 
 
 def monomial_str(t: Exponent) -> str:
@@ -37,19 +34,24 @@ def monomial_str(t: Exponent) -> str:
 def _check_exponent(t: Exponent, arity: int) -> None:
     if len(t) != arity:
         raise UsageError(f"exponent tuple {t} has arity {len(t)}, expected {arity}")
-    if any(e < 0 for e in t):
+    if min(t, default=0) < 0:
         raise UsageError(f"exponent tuple {t} has a negative entry")
 
 
 class MonomialIdeal(Record):
     """A monomial ideal: arity plus its canonical minimal generating antichain.
 
-    Construct through :func:`minimalize`; the raw constructor trusts that
-    ``gens`` is already a deduplicated antichain in graded-lex order.
+    The constructor puts ``gens`` in graded-lex order and trusts that they
+    are a duplicate-free antichain: :func:`minimalize` makes one from any
+    monomials, and star.wk_ideal and hilbert._numerator prove theirs are.
     """
 
     arity: int
     gens: tuple[Exponent, ...]
+
+    def __init__(self, arity: int, gens: Iterable[Exponent], /):
+        # descending lex, then a stable sort by degree: graded lex with x0 > x1 > ...
+        super().__init__(arity, tuple(sorted(sorted(gens, reverse=True), key=sum)))
 
     def _validate(self):
         if self.arity < 1:
@@ -76,7 +78,7 @@ def minimalize(arity: int, tuples: Iterable[Exponent]) -> MonomialIdeal:
     Duplicates and divisibility-dominated tuples are dropped; the result
     generates the same upward-closed set.
     """
-    uniq = sorted(set(tuples), key=grlex_key)
+    uniq = sorted(set(tuples), key=sum)
     for t in uniq:
         _check_exponent(t, arity)
     # only strictly smaller degrees can divide a candidate, so each tuple is
@@ -89,9 +91,9 @@ def minimalize(arity: int, tuples: Iterable[Exponent]) -> MonomialIdeal:
         if d != current_degree:
             current_degree = d
             limit = len(kept)
-        if not any(all(x <= y for x, y in zip(g, t)) for g in kept[:limit]):
+        if not any(all(map(le, g, t)) for g in kept[:limit]):
             kept.append(t)
-    return MonomialIdeal(arity, tuple(kept))
+    return MonomialIdeal(arity, kept)
 
 
 def _check_same_arity(a: MonomialIdeal, b: MonomialIdeal) -> None:
@@ -146,7 +148,6 @@ __all__ = [
     "MonomialIdeal",
     "alpha",
     "equals",
-    "grlex_key",
     "minimalize",
     "monomial_str",
     "multiply",

@@ -20,6 +20,7 @@ generators.
 
 from functools import lru_cache
 from itertools import accumulate
+from operator import le
 
 from . import exponents as ex
 from .errors import UsageError
@@ -63,9 +64,10 @@ def _numerator(ideal: ex.MonomialIdeal) -> tuple[int, ...]:
     lowered = [g[:p] + (g[p] - 1,) + g[p + 1:] for g in gens if g[p]]
     # minimal as listed: two lowered gens dividing each other would give g | f, an untouched h dividing a lowered g
     # would divide g, and a lowered g divides an untouched h only when g_p was 1, which `kept` drops
-    kept = [h for h in untouched if not any(all(x <= y for x, y in zip(g, h)) for g in lowered if not g[p])]
-    added = ex.MonomialIdeal(s, tuple(sorted(untouched + [tuple(int(i == p) for i in range(s))], key=ex.grlex_key)))
-    quotient = ex.MonomialIdeal(s, tuple(sorted(lowered + kept, key=ex.grlex_key)))
+    ones = [g for g in lowered if not g[p]]
+    kept = [h for h in untouched if not any(all(map(le, g, h)) for g in ones)]
+    added = ex.MonomialIdeal(s, untouched + [tuple(int(i == p) for i in range(s))])
+    quotient = ex.MonomialIdeal(s, lowered + kept)
     return _poly_add(_numerator(added), _numerator(quotient), 1)
 
 

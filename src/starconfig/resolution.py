@@ -175,13 +175,13 @@ def verify_hb(s: int, m: int, minors: list[tuple[int, tuple[int, ...]]] | None =
     they are.  maximal_minors has checked that each is a single signed
     monomial, so only their exponents are compared.
     """
-    from . import exponents as ex, star
+    from . import config, exponents as ex, star
 
-    star.check_codim2(s)
+    config.check_codim2(s)
     if minors is None:
         minors = maximal_minors(hb_matrix(s, m))
     minor_ideal = ex.minimalize(s, [exp for _, exp in minors])
-    target = star.symbolic_power(star.StarConfig(s, 2), m)
+    target = star.symbolic_power(config.StarConfig(s, 2), m)
     return ex.equals(minor_ideal, target)
 
 

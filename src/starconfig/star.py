@@ -7,8 +7,8 @@ s-c+1, and the ell-th symbolic power is generated by the monomials whose c
 smallest exponents sum to at least ell.
 
 Everything here is 0-based: variables and complex vertices are indexed
-0..s-1.  Operations are pure and outputs canonical.  StarConfig and the
-alpha/omega closed forms are defined in config and re-exported here.
+0..s-1.  Operations are pure and outputs canonical.  StarConfig, the
+alpha/omega closed forms and the usage checks live in config.
 """
 
 import itertools
@@ -17,9 +17,7 @@ from functools import lru_cache
 from math import comb
 
 from . import exponents as ex
-from .config import (
-    DEFAULT_ENUM_CAP, StarConfig, alpha_symbolic_formula, check_codim2, check_ell, comb_past, omega_symbolic_formula
-)
+from .config import DEFAULT_ENUM_CAP, StarConfig, check_codim2, check_ell, comb_past
 from .errors import UsageError, check_cap
 from .record import Record
 
@@ -90,8 +88,7 @@ def symbolic_power(cfg: StarConfig, ell: int, enum_cap: int = DEFAULT_ENUM_CAP) 
     shapes = symbolic_shapes(cfg, ell, enum_cap)
     entries = cfg.s * sum(_arrangement_count(t) for t in shapes)
     check_cap(entries, enum_cap, "symbolic power generators need {} entries")
-    gens = [g for t in shapes for g in _distinct_permutations(t)]
-    return ex.MonomialIdeal(cfg.s, tuple(sorted(gens, key=ex.grlex_key)))
+    return ex.MonomialIdeal(cfg.s, [g for t in shapes for g in _distinct_permutations(t)])
 
 
 def _arrangement_count(t: tuple[int, ...]) -> int:
@@ -244,7 +241,7 @@ def wk_ideal(s: int, ell: int, k: int) -> ex.MonomialIdeal:
         raise UsageError(f"need 0 <= k <= s, got k={k}")
     shifted = [tuple(x + (v < k) for v, x in enumerate(g)) for g in symbolic_power(StarConfig(s, 2), ell).gens]
     corners = [tuple(0 if v == i else ell + 1 + (v < k) for v in range(s)) for i in range(k)]
-    return ex.MonomialIdeal(s, tuple(sorted(shifted + corners, key=ex.grlex_key)))
+    return ex.MonomialIdeal(s, shifted + corners)
 
 
 def wk_degree(s: int, ell: int, k: int) -> int:
@@ -260,11 +257,11 @@ def wk_link_monomial(s: int, ell: int, k: int) -> ex.Exponent:
 def wk_step_check(s: int, ell: int, k: int, current=None, nxt=None) -> bool:
     """Verify one basic-double-link step of the W chain.
 
-    Checks that W_{k+1}'s generators are those of x_k * W_k and the hypersurface monomial F_k, in grlex
-    order.  That decides the ideal equality: x_k times a shifted I^(ell) generator of W_k is W_{k+1}'s,
-    x_k * F_i for i < k is W_{k+1}'s F_i (its exponent at k goes from ell+1 to ell+2), the link monomial
-    is W_{k+1}'s F_k, and both lists are minimal by wk_ideal's proof.  Pass W_k and W_{k+1} as current
-    and nxt when they are already built; otherwise they are.  The degree step of wk_degree holds by
+    Checks the ideal equality W_{k+1} = x_k * W_k + (F_k), F_k the hypersurface monomial, building the
+    right side from its listed generators.  They are minimal: x_k times a shifted I^(ell) generator of W_k
+    is W_{k+1}'s, x_k * F_i for i < k is W_{k+1}'s F_i (its exponent at k goes from ell+1 to ell+2), the
+    link monomial is W_{k+1}'s F_k, and W_{k+1}'s are minimal by wk_ideal's proof.  Pass W_k and W_{k+1}
+    as current and nxt when they are already built; otherwise they are.  The degree step of wk_degree holds by
     algebra alone, so it is not checked here: the wk command checks it against each built W_k's h-vector.
     """
     if not 0 <= k < s:
@@ -272,21 +269,15 @@ def wk_step_check(s: int, ell: int, k: int, current=None, nxt=None) -> bool:
     current = wk_ideal(s, ell, k) if current is None else current
     nxt = wk_ideal(s, ell, k + 1) if nxt is None else nxt
     shifted = [tuple(x + (v == k) for v, x in enumerate(g)) for g in current.gens]
-    return nxt.gens == tuple(sorted(shifted + [wk_link_monomial(s, ell, k)], key=ex.grlex_key))
+    return nxt == ex.MonomialIdeal(s, shifted + [wk_link_monomial(s, ell, k)])
 
 
 __all__ = [
-    "DEFAULT_ENUM_CAP",
     "MATROID_VERTEX_CAP",
     "SimplicialComplex",
-    "StarConfig",
-    "alpha_symbolic_formula",
-    "check_codim2",
-    "check_ell",
     "check_lemma_contain",
     "check_wk",
     "is_matroid",
-    "omega_symbolic_formula",
     "skeleton_complex",
     "skeleton_ideal",
     "stanley_reisner_ideal",

@@ -31,7 +31,6 @@ from starconfig.exponents import (
     MonomialIdeal,
     _check_exponent,
     _check_same_arity,
-    grlex_key,
     minimalize,
     monomial_str,
     unit_ideal,
@@ -42,6 +41,11 @@ from starconfig.resolution import SymbolicMatrix
 from starconfig.star import SimplicialComplex
 
 # --- monomial-ideal arithmetic (from starconfig.exponents) ---
+
+
+def grlex_key(t: Exponent) -> tuple:
+    """Sort key for the graded-lexicographic order with x0 largest, the order MonomialIdeal stores."""
+    return (sum(t), tuple(-e for e in t))
 
 
 def zero_ideal(arity: int) -> MonomialIdeal:
@@ -190,14 +194,14 @@ def irrelevant_power(s: int, t: int) -> ex.MonomialIdeal:
     """The t-th power of the irrelevant ideal: all monomials of degree t."""
     if t < 0:
         raise UsageError(f"power must be nonnegative, got {t}")
-    return ex.MonomialIdeal(s, tuple(sorted(monomials_of_degree(s, t), key=ex.grlex_key)))
+    return ex.MonomialIdeal(s, monomials_of_degree(s, t))
 
 
 @lru_cache(maxsize=32)
 def _symbolic_intersection(s: int, c: int, ell: int) -> ex.MonomialIdeal:
     """The intersection of the ((j+1)*ell)-th symbolic powers of the codimension-(c+j) skeletons, j = 0..N-c."""
     return intersect_many(
-        star.symbolic_power(star.StarConfig(s, c + j), (j + 1) * ell) for j in range(s - c)
+        star.symbolic_power(StarConfig(s, c + j), (j + 1) * ell) for j in range(s - c)
     )
 
 

@@ -13,8 +13,8 @@ from math import comb
 from pathlib import Path
 
 import starconfig as sc
-from starconfig import cli, exponents as ex, hilbert, resolution, star
-from starconfig.star import StarConfig
+from starconfig import cli, config, exponents as ex, hilbert, resolution, star
+from starconfig.config import StarConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -58,7 +58,7 @@ def test_criterion_03_initial_and_terminal_degrees():
                 cfg = StarConfig(s, c)
                 for ell in range(1, 7):
                     ideal = sc.symbolic_power(cfg, ell)
-                    assert ex.alpha(ideal) == star.alpha_symbolic_formula(cfg, ell)
+                    assert ex.alpha(ideal) == config.alpha_symbolic_formula(cfg, ell)
                     assert ex.omega(ideal) == ell * (s - c + 1)
                     assert ex.alpha(ex.power(sc.skeleton_ideal(cfg), ell)) == ell * (s - c + 1)
 

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 import oracles
 from starconfig import decomp, exponents as ex
+from starconfig.config import StarConfig
 from starconfig.errors import ResourceCapError, UsageError
-from starconfig.star import StarConfig, skeleton_ideal, symbolic_power, symbolic_shapes
+from starconfig.star import skeleton_ideal, symbolic_power, symbolic_shapes
 
 
 def exact_noncontainment(n_dim, m, r):

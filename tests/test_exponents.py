@@ -4,11 +4,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from starconfig import exponents as ex
+from starconfig.config import StarConfig
 from starconfig.errors import UsageError
-from starconfig.star import StarConfig, skeleton_ideal, symbolic_power
+from starconfig.star import skeleton_ideal, symbolic_power
 
 
 def ideal(arity, *gens):
@@ -181,6 +184,24 @@ def test_canonical_order_is_construction_independent():
         shuffled = gens[:]
         rng.shuffle(shuffled)
         assert ex.minimalize(3, shuffled).gens == reference.gens
+        assert ex.MonomialIdeal(3, shuffled) == reference
+
+
+@st.composite
+def antichains(draw):
+    """An antichain of arity <= 5 with entries <= 4, with each drawn tuple's rotations to tie in degree."""
+    s = draw(st.integers(1, 5))
+    drawn = draw(st.lists(st.tuples(*[st.integers(0, 4)] * s), min_size=1, max_size=8))
+    candidates = {t[i:] + t[:i] for t in drawn for i in range(s)}
+    return s, [t for t in candidates if not any(g != t and oracles.divides(g, t) for g in candidates)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), drawn=antichains())
+def test_constructor_puts_any_order_in_grlex(data, drawn):
+    s, gens = drawn
+    perm = data.draw(st.permutations(gens))
+    assert ex.MonomialIdeal(s, perm).gens == tuple(sorted(gens, key=oracles.grlex_key))
 
 
 def test_truncate_to_degree_matches_intersection():

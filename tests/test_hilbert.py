@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 import oracles
 from starconfig import exponents as ex
 from starconfig import hilbert, shapes
+from starconfig.config import StarConfig
 from starconfig.errors import ResourceCapError, UsageError
-from starconfig.star import StarConfig, skeleton_ideal, symbolic_power, wk_ideal
+from starconfig.star import skeleton_ideal, symbolic_power, wk_ideal
 
 
 def brute_hf(ideal, d):

@@ -126,6 +126,17 @@ def test_only_hilbert_names_the_pivot_recursion():
     assert namers == {"hilbert"}
 
 
+def test_only_exponents_sorts_with_a_key():
+    # MonomialIdeal puts its generators in grlex order: no other layer restates that order as a sort key
+    sorters = set()
+    for path in sorted(Path(sc.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and any(k.arg == "key" for k in node.keywords):
+                if getattr(node.func, "id", None) == "sorted" or getattr(node.func, "attr", None) == "sort":
+                    sorters.add(path.stem)
+    assert sorters == {"exponents"}
+
+
 def test_public_functions_have_resolvable_annotations():
     # an annotation that names a type its module does not import fails only when it is resolved
     unresolved = []

@@ -11,9 +11,10 @@ import test_package
 from oracles import SparsePoly
 from starconfig import exponents as ex
 from starconfig import hilbert, resolution, shapes
+from starconfig.config import StarConfig
 from starconfig.errors import ResourceCapError, TheoremViolation, UsageError
 from starconfig.resolution import SymbolicMatrix
-from starconfig.star import StarConfig, skeleton_ideal, symbolic_power
+from starconfig.star import skeleton_ideal, symbolic_power
 
 
 def poly(arity, *terms):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import oracles
 from starconfig import exponents as ex
-from starconfig import star
+from starconfig import config, star
 from starconfig.errors import ResourceCapError, UsageError
-from starconfig.star import StarConfig
+from starconfig.config import StarConfig
 
 
 def brute_symbolic_power(cfg, ell):
@@ -163,7 +163,7 @@ def test_symbolic_member():
         star.symbolic_member((1, 1, 1), cfg, 2)
     # nothing of degree below the initial degree is a member
     for ell in (1, 2, 3):
-        a = star.alpha_symbolic_formula(cfg, ell)
+        a = config.alpha_symbolic_formula(cfg, ell)
         for d in range(a):
             assert not any(
                 star.symbolic_member(mu, cfg, ell) for mu in oracles.monomials_of_degree(4, d)
@@ -236,14 +236,14 @@ def test_symbolic_contains_ordinary_power():
 
 def test_alpha_omega_formulas():
     cfg = StarConfig(4, 2)
-    assert star.alpha_symbolic_formula(cfg, 2) == 4
-    assert star.alpha_symbolic_formula(StarConfig(7, 3), 2) == 6
+    assert config.alpha_symbolic_formula(cfg, 2) == 4
+    assert config.alpha_symbolic_formula(StarConfig(7, 3), 2) == 6
     for s in range(2, 7):
         for c in range(1, s):
-            assert star.alpha_symbolic_formula(StarConfig(s, c), 1) == s - c + 1
-            assert star.omega_symbolic_formula(StarConfig(s, c), 1) == s - c + 1
-    assert star.omega_symbolic_formula(StarConfig(4, 2), 2) == 6
-    assert star.omega_symbolic_formula(StarConfig(5, 3), 3) == 9
+            assert config.alpha_symbolic_formula(StarConfig(s, c), 1) == s - c + 1
+            assert config.omega_symbolic_formula(StarConfig(s, c), 1) == s - c + 1
+    assert config.omega_symbolic_formula(StarConfig(4, 2), 2) == 6
+    assert config.omega_symbolic_formula(StarConfig(5, 3), 3) == 9
     assert ex.omega(star.symbolic_power(StarConfig(5, 3), 3)) == 9
 
 
